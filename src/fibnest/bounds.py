@@ -1,13 +1,13 @@
-"""Exhaustive oracles and certified bounds for the golden rotation.
+"""Exact oracles and certified bounds for the golden rotation.
 
-The central scan is min_product: for coprime a, the exact minimum over
-x = 1..F_n - 1 of dist(a x / F_n) * dist(F_{n-1} a x / F_n), where dist
-is the distance to the nearest integer. Everything downstream compares
-such minima against the threshold 2/(3+sqrt5) = (3-sqrt5)/2 exactly.
+The central quantity is min_product: for coprime a, the exact minimum
+over x = 1..F_n - 1 of dist(a x / F_n) * dist(F_{n-1} a x / F_n), where
+dist is the distance to the nearest integer, found among the convergent
+denominators of F_{n-1}/F_n. Everything downstream compares such minima
+against the threshold 2/(3+sqrt5) = (3-sqrt5)/2 exactly.
 
-Scans are integer arithmetic throughout (numpy int64 under a scan cap
-that keeps every intermediate below 2^63); results are converted to
-Fractions only at the end.
+The scans that remain (littlewood_lower_bound, star_discrepancy) run in
+Python integers or Fractions over at most SCAN_CAP points.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .exact import Rat, dist_int, rat_decimal, rat_str
 from .fib import fib, golden_convergent
@@ -48,63 +46,73 @@ class MinRecord:
 @dataclass(frozen=True)
 class ErrorBudget:
     x_max: int
-    per_x_error: Rat  # bound on |alpha - proxy| * x over the scan
     product_error: Rat  # bound on the product drift over the scan
 
 
-def _require_scan_size(fn: int, scan_cap: int) -> None:
-    if fn > scan_cap:
-        raise ScanCapExceeded(f"F_n = {fn} exceeds scan cap {scan_cap}")
+def _require_scan_size(fn: int) -> None:
+    if fn > SCAN_CAP:
+        raise ScanCapExceeded(f"F_n = {fn} exceeds scan cap {SCAN_CAP}")
 
 
-def min_product(n: int, a: int, scan_cap: int = SCAN_CAP) -> MinRecord:
+def _implied_epsilon(x: Rat) -> str:
+    """Notes text for max(0, 1/x - golden^2): the epsilon with
+    x = 1/(golden^2 + epsilon), rendered to 50 places."""
+    implied = Quad.of(1 / x) - GOLDEN_SQ
+    if implied.sign() < 0:
+        implied = Quad.of(0)
+    return f"implied epsilon {implied.decimal(50)}"
+
+
+def min_product(n: int, a: int) -> MinRecord:
     """Exact minimum of the distance product over x = 1..F_n - 1.
 
     Requires n >= 3, 1 <= a < F_n and gcd(a, F_n) = 1. Ties break to the
     smallest x.
+
+    No scan is needed. For a = 1 and x <= F_n/2, F_n * product equals
+    x^2 |theta - y/x| with theta = F_{n-1}/F_n. By Legendre's theorem that
+    is >= 1/2 unless y/x is a convergent F_{k-1}/F_k (a non-reduced multiple
+    scales it by g^2 >= 4), while x = 1 gives F_{n-2}/F_n < 1/2 for n >= 4.
+    With the symmetry x -> F_n - x, every minimizer lies in
+    {F_k, F_n - F_k : 2 <= k < n}, and both score dist(F_k) dist(F_{n-k})
+    since F_{n-1} F_k = +-F_{n-k} (mod F_n). For general a, x -> a x
+    permutes the nonzero residues: same minimum, minimizers y a^-1 mod F_n.
     """
     if n < 3:
         raise ValueError(f"min_product needs n >= 3, got {n}")
     fn = fib(n)
-    _require_scan_size(fn, scan_cap)
     if not 1 <= a < fn:
         raise ValueError(f"need 1 <= a < F_{n} = {fn}, got a = {a}")
     if math.gcd(a, fn) != 1:
         raise ValueError(f"a = {a} is not coprime to F_{n} = {fn}")
-    b = (a * fib(n - 1)) % fn
-    # int64 bounds: operands < F_n <= scan_cap <= 10^6, so products < 10^12
-    x = np.arange(1, fn, dtype=np.int64)
-    r1 = (a * x) % fn
-    r2 = (b * x) % fn
-    np.minimum(r1, fn - r1, out=r1)
-    np.minimum(r2, fn - r2, out=r2)
-    products = r1 * r2
-    idx = int(np.argmin(products))  # first occurrence = smallest x
-    best = int(products[idx])
+
+    def near(r: int) -> int:  # F_n * dist(r / F_n)
+        return min(r, fn - r)
+
+    units = {k: near(fib(k)) * near(fib(n - k)) for k in range(2, n)}
+    best = min(units.values())
+    inv = pow(a, -1, fn)
+    ties = (y for k, u in units.items() if u == best for y in (fib(k), fn - fib(k)))
+    x_min = min((y * inv) % fn for y in ties)
     return MinRecord(
         n=n,
         a=a,
-        x_min=idx + 1,
+        x_min=x_min,
         value=Fraction(best, fn * fn),
         scaled=Fraction(best, fn),
     )
 
 
-def check_min_product_bound(
-    n: int, a: int, scan_cap: int = SCAN_CAP
-) -> tuple[BoundReport, MinRecord]:
+def check_min_product_bound(n: int, a: int) -> tuple[BoundReport, MinRecord]:
     """Compare F_n * min_product against 2/(3+sqrt5), exactly."""
-    rec = min_product(n, a, scan_cap)
-    implied = Quad.of(Fraction(1) / rec.scaled) - GOLDEN_SQ
-    if implied.sign() < 0:
-        implied = Quad.of(0)
+    rec = min_product(n, a)
     report = bound_report(
         f"min-product-bound[n={n}, a={a}]",
         rec.scaled,
         GOLDEN_INV_SQ,
         witness=rec.x_min,
         rhs_label=THRESHOLD_LABEL,
-        notes=f"implied epsilon {implied.decimal(50)}",
+        notes=_implied_epsilon(rec.scaled),
     )
     return report, rec
 
@@ -168,15 +176,12 @@ def convergent_gap(n: int, k: int) -> ReportBundle:
         notes="subtraction equals F_{n-k}/(F_n F_k)",
     )
     fk2 = Fraction(fib(k)) ** 2
-    implied = Quad.of(1 / (gap * fk2)) - GOLDEN_SQ
-    if implied.sign() < 0:
-        implied = Quad.of(0)
     bound = bound_report(
         f"convergent-gap-bound[n={n}, k={k}]",
         gap,
         GOLDEN_INV_SQ / fk2,
         rhs_label=f"1/(F_{k}^2*(golden+1))",
-        notes=f"implied epsilon {implied.decimal(50)}",
+        notes=_implied_epsilon(gap * fk2),
     )
     return ReportBundle(name=f"convergent-gap[n={n}, k={k}]", items=(identity, bound))
 
@@ -193,7 +198,6 @@ def littlewood_lower_bound(
     level: int,
     proxy_level: int,
     zero_error: bool = False,
-    scan_cap: int = SCAN_CAP,
 ) -> LittlewoodResult:
     """Certified lower bound for Q * min over 1 <= x < Q of
     dist(alpha x) dist(beta x), with Q = F_{n_level}.
@@ -204,8 +208,8 @@ def littlewood_lower_bound(
     dist(alpha_level x) - x err) for any alpha within err of the stage
     value. Deeper proxies shrink err, so the certified lhs is
     non-decreasing in proxy_level. With zero_error=True the drift term is
-    dropped (err = 0) and proxy_level = level reproduces the min_product
-    scan verbatim.
+    dropped (err = 0) and proxy_level = level reproduces min_product
+    verbatim.
     """
     if not 1 <= level < len(cert.stages):
         raise ValueError(f"level must be in [1, {len(cert.stages) - 1}], got {level}")
@@ -216,7 +220,7 @@ def littlewood_lower_bound(
         )
     st = cert.stages[level]
     q = fib(st.n)
-    _require_scan_size(q, scan_cap)
+    _require_scan_size(q)
     p_alpha, p_beta = st.alpha, st.beta
     err = approximants(cert, proxy_level)[2]
     if zero_error:
@@ -240,7 +244,6 @@ def littlewood_lower_bound(
     assert best is not None
     budget = ErrorBudget(
         x_max=q - 1,
-        per_x_error=(q - 1) * err,
         product_error=(q - 1) * err,
     )
     lhs = q * best
@@ -262,28 +265,31 @@ def littlewood_lower_bound(
 # ---- star discrepancy ----
 
 
+def _sorted_star_discrepancy(nums: Sequence[int], den: int) -> Rat:
+    """Exact star discrepancy of the points nums[i]/den, nums sorted, by
+    the sorted-points formula
+        D*_N = max_i max(x_(i) - (i-1)/N, i/N - x_(i)),
+    scaled by N * den to stay in integers."""
+    count = len(nums)
+    worst = 0
+    for i, r in enumerate(nums, start=1):
+        worst = max(worst, r * count - (i - 1) * den, i * den - r * count)
+    return Fraction(worst, count * den)
+
+
 def star_discrepancy_of_points(points: Sequence[Rat]) -> Rat:
-    """Exact star discrepancy of a finite point set in [0, 1], by the
-    sorted-points formula
-        D*_N = max_i max(x_(i) - (i-1)/N, i/N - x_(i))."""
+    """Exact star discrepancy of a finite point set in [0, 1]."""
     if not points:
         raise ValueError("empty point set")
     pts = sorted(Fraction(p) for p in points)
     if pts[0] < 0 or pts[-1] > 1:
         raise ValueError("points must lie in [0, 1]")
-    n = len(pts)
-    best = Fraction(0)
-    for i, p in enumerate(pts, start=1):
-        best = max(best, p - Fraction(i - 1, n), Fraction(i, n) - p)
-    return best
+    den = math.lcm(*(p.denominator for p in pts))
+    nums = [p.numerator * (den // p.denominator) for p in pts]
+    return _sorted_star_discrepancy(nums, den)
 
 
-def star_discrepancy(
-    n: int,
-    count: int,
-    cap: Optional[Rat] = None,
-    scan_cap: int = SCAN_CAP,
-) -> BoundReport:
+def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundReport:
     """Star discrepancy of {frac(F_{n-1} x / F_n) : x = 1..count}.
 
     D* and count * D* are exact rationals. The logarithmic quotient
@@ -295,16 +301,12 @@ def star_discrepancy(
     if n < 3:
         raise ValueError(f"star_discrepancy needs n >= 3, got {n}")
     fn = fib(n)
-    _require_scan_size(fn, scan_cap)
+    _require_scan_size(fn)
     if not 1 <= count < fn:
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
     step = fib(n - 1) % fn
     residues = sorted((step * x) % fn for x in range(1, count + 1))
-    # scale everything by count * F_n to stay in integers
-    worst = 0
-    for i, r in enumerate(residues, start=1):
-        worst = max(worst, r * count - (i - 1) * fn, i * fn - r * count)
-    d_star = Fraction(worst, count * fn)
+    d_star = _sorted_star_discrepancy(residues, fn)
     scaled = count * d_star
     ratio = float(scaled) / math.log(count + 1)
     notes = (
@@ -342,12 +344,12 @@ class LimitRow:
     x_min: int
 
 
-def limit_table(n_from: int, n_to: int, scan_cap: int = SCAN_CAP) -> list[LimitRow]:
+def limit_table(n_from: int, n_to: int) -> list[LimitRow]:
     if not 3 <= n_from <= n_to:
         raise ValueError(f"need 3 <= n_from <= n_to, got {n_from}..{n_to}")
     rows = []
     for n in range(n_from, n_to + 1):
-        rec = min_product(n, 1, scan_cap)
+        rec = min_product(n, 1)
         rows.append(
             LimitRow(
                 n=n,

@@ -115,10 +115,6 @@ def _render(obj: Union[BoundReport, ReportBundle], fmt: str) -> str:
     return report_to_text(obj) + "\n"
 
 
-def _passed(obj: Union[BoundReport, ReportBundle]) -> bool:
-    return obj.passed
-
-
 def _cmd_construct(args) -> int:
     cfg = SearchConfig(
         strategy=args.strategy, brute_cap=args.brute_cap, j_max=args.j_max

@@ -86,10 +86,6 @@ def rat_str(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rat(text: str) -> Rat:
-    return Fraction(text)
-
-
 def rat_decimal(q: Rat, digits: int = DECIMAL_DIGITS) -> str:
     """Fixed-point decimal rendering with round-half-even, done on
     integers so the result is exact for every Fraction."""

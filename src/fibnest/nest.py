@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .exact import Rat, UnitInterval, parse_rat, rat_str, trim
+from .exact import Rat, UnitInterval, rat_str, trim
 from .fib import fib, fib_index_at_least
 from .report import (
     ReportBundle,
@@ -336,11 +336,11 @@ def _stage_from_dict(d: dict) -> Stage:
         nu=int(d["nu"]),
         n=int(d["n"]),
         a=int(d["a"]),
-        delta=parse_rat(d["delta"]),
-        alpha=parse_rat(d["alpha"]),
-        beta=parse_rat(d["beta"]),
-        I=UnitInterval(parse_rat(d["I"][0]), parse_rat(d["I"][1])),
-        J=UnitInterval(parse_rat(d["J"][0]), parse_rat(d["J"][1])),
+        delta=Fraction(d["delta"]),
+        alpha=Fraction(d["alpha"]),
+        beta=Fraction(d["beta"]),
+        I=UnitInterval(Fraction(d["I"][0]), Fraction(d["I"][1])),
+        J=UnitInterval(Fraction(d["J"][0]), Fraction(d["J"][1])),
     )
 
 

@@ -257,14 +257,9 @@ def find_witness(
 ) -> LemmaWitness | None:
     """Strategy dispatch. auto scans exhaustively while the candidate
     count fits the cap and falls back to the two-scale search beyond it."""
-    if cfg.strategy == "brute":
-        return find_brute(n, I, J, cfg)
-    if cfg.strategy == "two_scale":
-        try:
-            return find_two_scale(n, I, J, cfg)
-        except TwoScaleExhausted:
-            return None
-    if candidate_count(n, I) <= cfg.brute_cap:
+    if cfg.strategy == "brute" or (
+        cfg.strategy == "auto" and candidate_count(n, I) <= cfg.brute_cap
+    ):
         return find_brute(n, I, J, cfg)
     try:
         return find_two_scale(n, I, J, cfg)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fibnest.bounds import (
     PRIOR_BOUND,
+    MinRecord,
     ProxyTooShallow,
     ScanCapExceeded,
     check_min_product_bound,
@@ -30,6 +31,38 @@ from fibnest.surd import GOLDEN_INV_SQ, Quad
 # ---- min_product ----
 
 
+def scan_min_product(n, a):
+    """Reference oracle: the exhaustive scan over x = 1..F_n - 1."""
+    fn = fib(n)
+    b = (a * fib(n - 1)) % fn
+
+    def units(x):
+        r1, r2 = (a * x) % fn, (b * x) % fn
+        return min(r1, fn - r1) * min(r2, fn - r2)
+
+    x_min = min(range(1, fn), key=units)  # first minimum = smallest x
+    best = units(x_min)
+    return MinRecord(n, a, x_min, Fraction(best, fn * fn), Fraction(best, fn))
+
+
+def test_min_product_matches_scan_every_a():
+    for n in range(3, 18):
+        fn = fib(n)
+        for a in range(1, fn):
+            if math.gcd(a, fn) == 1:
+                assert min_product(n, a) == scan_min_product(n, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=18, max_value=25), st.integers(min_value=1))
+def test_min_product_matches_scan_sampled_a(n, seed):
+    fn = fib(n)
+    a = seed % (fn - 1) + 1
+    while math.gcd(a, fn) != 1:
+        a = a % (fn - 1) + 1
+    assert min_product(n, a) == scan_min_product(n, a)
+
+
 def test_min_product_frozen():
     rec = min_product(6, 1)
     assert (rec.x_min, rec.value, rec.scaled) == (1, Fraction(3, 64), Fraction(3, 8))
@@ -41,8 +74,8 @@ def test_min_product_frozen():
 
 
 def test_min_product_scaled_closed_form():
-    # for a = 1 the scaled minimum is exactly F_{n-2}/F_n on this range
-    for n in range(6, 23):
+    # for a = 1 the scaled minimum is exactly F_{n-2}/F_n
+    for n in range(6, 61):
         assert min_product(n, 1).scaled == Fraction(fib(n - 2), fib(n))
 
 
@@ -68,8 +101,9 @@ def test_min_product_validation():
         min_product(6, 8)
     with pytest.raises(ValueError):
         min_product(6, 2)  # gcd(2, 8) = 2
-    with pytest.raises(ScanCapExceeded):
-        min_product(40, 1)
+    # no scan cap: F_40 is far above SCAN_CAP
+    rec = min_product(40, 1)
+    assert (rec.x_min, rec.scaled) == (1, Fraction(fib(38), fib(40)))
 
 
 def test_check_min_product_bound():
@@ -162,7 +196,6 @@ def test_littlewood_deep_proxy(cert3):
     assert (Quad.of(res.report.lhs) - GOLDEN_INV_SQ).sign() > 0
     assert res.report.witness == 4
     assert res.budget.x_max == 4
-    assert res.budget.per_x_error == res.budget.product_error
     assert res.budget.product_error == 4 * Fraction(1, 8) / fib(82) ** 2
     assert "Q = F_5 = 5" in res.report.notes
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fibnest
 from fibnest.cli import main
 from fibnest.nest import certificate_to_json
 
@@ -195,6 +200,28 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     _, stdout, _ = run(capsys, "min-scan", "--n", "7", "--a", "1", "--format", "json")
     assert path.read_text() == stdout
+
+
+def test_runs_without_numpy():
+    # a None entry in sys.modules makes every import of numpy fail
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from fibnest.cli import main\n"
+        "codes = [main(['min-scan', '--n', '25', '--a', '2']),\n"
+        "         main(['limit-table', '--n-from', '15', '--n-to', '40'])]\n"
+        "sys.stderr.write(repr(codes))\n"
+    )
+    src = Path(fibnest.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[0, 0]"
 
 
 def test_unknown_subcommand(capsys):

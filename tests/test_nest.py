@@ -191,6 +191,14 @@ def test_json_schema_keys(cert1):
         assert len(st["I"]) == len(st["J"]) == 2
 
 
+def test_certificate_from_json_rejects_garbage_rational(cert1):
+    for garbage in ("1/2/3", ""):
+        payload = json.loads(certificate_to_json(cert1))
+        payload["stages"][1]["I"][0] = garbage
+        with pytest.raises(ValueError):
+            certificate_from_json(json.dumps(payload))
+
+
 def test_build_determinism(cert3):
     again = build(depth=3, n0=5)
     assert certificate_to_json(again) == certificate_to_json(cert3)
