@@ -178,6 +178,11 @@ def _cmd_q2(args) -> int:
 
 def _cmd_littlewood(args) -> int:
     cert = nest.certificate_from_json(args.cert.read_text(encoding="utf-8"))
+    # a bound is certified only from a certificate that passes verification
+    verification = nest.verify_certificate(cert)
+    if not verification.passed:
+        _emit(_render(verification, args.format), args.out)
+        return 1
     result = bounds.littlewood_lower_bound(
         cert, args.level, args.proxy, zero_error=args.zero_error
     )

@@ -6,9 +6,11 @@ lands in J.
 
 Two strategies are provided:
 
-* find_brute scans every admissible position in increasing order. It is
-  exhaustive (authoritative) but the candidate count grows like
-  len(I) * F_n.
+* find_brute returns the smallest admissible position. It is exhaustive
+  (authoritative) and exact: a Euclid-style first-hit solver jumps from
+  one position whose residue lands in J to the next in O(log F_n) steps,
+  so its cost does not grow with the candidate count; brute_cap now only
+  selects the strategy.
 
 * find_two_scale corrects the fractional part greedily. A step of F_k
   on a moves the residue F_{n-1} a mod F_n by exactly (-1)^(k-1) F_{n-k},
@@ -144,13 +146,59 @@ def _make_witness(n: int, a: int, strategy: str) -> LemmaWitness:
     )
 
 
+def _first_multiple_in_window(s: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest x >= 0 with lo <= s*x mod m <= hi, or None if there is none.
+
+    Needs 0 <= lo <= hi < m and 0 <= s < m. If no multiple of s lies in
+    [lo, hi], write s*x = m*y + v with v in the window: the smallest y is
+    the smallest y >= 0 with (m mod s)*y mod s in [(-hi) mod s, (-lo) mod s],
+    the same question with (s, m) replaced by (m mod s, s), and then
+    x = ceil((m*y + lo) / s). The reduction runs Euclid's algorithm on
+    (m, s); Fibonacci moduli are its worst case, with depth about n, so the
+    frames live on an explicit stack rather than the call stack.
+    """
+    frames = []
+    while True:
+        if s == 0:
+            if lo != 0:
+                return None
+            x = 0
+            break
+        x = -(-lo // s)
+        if s * x <= hi:
+            break
+        frames.append((m, s, lo))
+        m, s, lo, hi = s, m % s, (-hi) % s, (-lo) % s
+    while frames:
+        m, s, lo = frames.pop()
+        x = -(-(m * x + lo) // s)
+    return x
+
+
+def _first_step_into_window(b: int, s: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest t >= 0 with lo <= (b + s*t) mod m <= hi, or None.
+
+    Needs 0 <= b < m and 0 <= lo <= hi < m. When b lies outside the window,
+    shifting the window by -b leaves it unwrapped, because only the shift
+    of b itself lands on 0.
+    """
+    if lo <= b <= hi:
+        return 0
+    return _first_multiple_in_window(s, m, (lo - b) % m, (hi - b) % m)
+
+
 def find_brute(
     n: int, I: UnitInterval, J: UnitInterval, cfg: SearchConfig = DEFAULT_CONFIG
 ) -> LemmaWitness | None:
-    """Exhaustive scan: the smallest qualifying a, or None if none exists.
+    """Exhaustive search: the smallest qualifying a, or None if none exists.
 
-    Raises RangeTooLarge when the candidate count exceeds cfg.brute_cap;
-    the caller should switch strategy or raise n.
+    The positions whose residue F_{n-1} a mod F_n lands in J are visited in
+    increasing order by the first-hit solver, each jump in O(log F_n)
+    steps; a hit that is not coprime to F_n re-queries from a + 1. The cost
+    grows with log F_n and the number of such hits, not with the candidate
+    count. brute_cap only selects the strategy: RangeTooLarge is raised
+    when the count exceeds it, and auto dispatch falls back to the
+    two-scale search there.
     """
     if n < 2:
         raise ValueError(f"find_brute needs n >= 2, got {n}")
@@ -166,14 +214,14 @@ def find_brute(
         return None
     step = fib(n - 1) % fn
     a = a_lo
-    r = (step * a_lo) % fn
-    for _ in range(count):
-        if w_lo <= r <= w_hi and math.gcd(a, fn) == 1:
+    while a <= a_hi:
+        t = _first_step_into_window((step * a) % fn, step, fn, w_lo, w_hi)
+        if t is None or a + t > a_hi:
+            return None
+        a += t
+        if math.gcd(a, fn) == 1:
             return _make_witness(n, a, "brute")
         a += 1
-        r += step
-        if r >= fn:
-            r -= fn
     return None
 
 
@@ -221,7 +269,8 @@ def find_two_scale(
         f_k = fib(k)
         if a + f_k > a_hi:
             return None  # all remaining steps are unaffordable
-        d = (fnm1 * f_k) % fn
+        # F_{n-1} F_k mod F_n is F_{n-k} for odd k, F_n - F_{n-k} for even k
+        d = fib(n - k) if k % 2 else fn - fib(n - k)
         need = (w_lo - r) % fn
         if 0 < d <= need + width:
             a += f_k

@@ -5,7 +5,6 @@ from fibnest import build
 
 @pytest.fixture(scope="session")
 def cert3():
-    # depth-3 build is the most expensive fixture (~3 s); share it
     return build(depth=3, n0=5)
 
 

@@ -171,6 +171,26 @@ def test_littlewood_zero_error(tmp_path, capsys, cert3):
     assert "lhs=2/5" in stdout
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_littlewood_rejects_unverified_certificate(tmp_path, capsys, fmt):
+    # stage 2 feeds only its window width to a level-1 bound, so a shifted
+    # witness used to be certified; verification must refuse it first
+    payload = json.loads(certificate_to_json(fibnest.build(depth=2, n0=5)))
+    payload["stages"][2]["a"] = "1676"
+    payload["stages"][2]["alpha"] = "1676/4181"
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, _ = run(capsys, "verify-cert", "--in", str(path), "--format", fmt)
+    assert code == 1
+    verify_stdout = stdout
+    code, stdout, _ = run(
+        capsys, "littlewood", "--cert", str(path), "--level", "1", "--proxy", "2",
+        "--format", fmt,
+    )
+    assert code == 1
+    assert stdout == verify_stdout
+
+
 def test_discrepancy_cap(capsys):
     code, _, _ = run(
         capsys, "discrepancy", "--n", "25", "--count", "100", "--cap", "31/100"

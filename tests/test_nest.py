@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from fibnest.exact import UnitInterval
 from fibnest.fib import fib
+from fibnest.search import SearchConfig
 from fibnest.nest import (
     SCHEDULES,
     Certificate,
@@ -78,6 +80,28 @@ def test_build_depth_three_frozen(cert3):
         (3, 82, 24560439961635519),
     ]
     assert [s.delta for s in cert3.stages] == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+
+
+@pytest.mark.parametrize(
+    "schedule, digest",
+    [
+        ("pow2", "62c17330de831dfe85f229ddd96e5206b89bef50600ded3c846106cca5e03727"),
+        ("inv", "59b2950cc5e913539e815a9f33c3a263ddc3a6f452006b9bfd5a5d549c0fb5ae"),
+    ],
+)
+def test_build_depth_four_auto_bytes_frozen(schedule, digest):
+    # digests of the certificates built by the linear-scan search
+    cert = build(depth=4, schedule=schedule_by_name(schedule), n0=5)
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
+
+
+def test_build_depth_four_exhaustive_brute():
+    # with the cap out of the way the exhaustive search finds stage 3 at
+    # n = 77, below the two_scale fallback's n = 82
+    cert = build(depth=4, n0=5, cfg=SearchConfig(strategy="brute", brute_cap=10**300))
+    assert [s.n for s in cert.stages] == [1, 5, 19, 77, 313]
+    assert cert.policy == "brute"
+    assert verify_certificate(cert).passed
 
 
 def test_build_inv_schedule_reuses_witnesses():

@@ -3,11 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
 from fibnest.search import (
     DEFAULT_CONFIG,
+    _first_multiple_in_window,
+    _first_step_into_window,
+    _position_range,
+    _residue_window,
     LemmaWitness,
     RangeTooLarge,
     SearchConfig,
@@ -23,6 +29,27 @@ from fibnest.search import (
 
 def interval_at(lo: Fraction, length: Fraction) -> UnitInterval:
     return UnitInterval(lo, lo + length)
+
+
+def linear_find_brute(n: int, I: UnitInterval, J: UnitInterval):
+    """Oracle: scan every position of I in increasing order; the smallest
+    coprime a whose residue lands in J, or None. No cap."""
+    fn = fib(n)
+    a_lo, a_hi = _position_range(n, I)
+    w_lo, w_hi = _residue_window(n, J)
+    step = fib(n - 1) % fn
+    for a in range(a_lo, a_hi + 1):
+        if w_lo <= (step * a) % fn <= w_hi and math.gcd(a, fn) == 1:
+            return a
+    return None
+
+
+def linear_first_step(b: int, s: int, m: int, lo: int, hi: int):
+    """Oracle: walk t = 0 .. m; the residues repeat with period dividing m."""
+    for t in range(m + 1):
+        if lo <= (b + s * t) % m <= hi:
+            return t
+    return None
 
 
 # ---- select_kstar ----
@@ -120,6 +147,107 @@ def test_brute_returns_smallest_a():
     w = find_brute(19, I, J, DEFAULT_CONFIG)
     assert w is not None and w.a == 1675
     assert w.beta_n == Fraction(865, 4181)
+
+
+# ---- first-hit solver ----
+
+
+FIB_VALUES = {fib(k) for k in range(1, 40)}
+
+
+@st.composite
+def step_problems(draw):
+    m = draw(st.integers(min_value=1, max_value=5000))
+    assume(m not in FIB_VALUES)
+    s = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=m - 1)))
+    b = draw(st.integers(min_value=0, max_value=m - 1))
+    lo = draw(st.integers(min_value=0, max_value=m - 1))
+    hi = draw(st.one_of(st.just(lo), st.integers(min_value=lo, max_value=m - 1)))
+    return s, m, b, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(step_problems())
+# the walk from b must wrap past m before it reaches the window
+@example((7, 100, 95, 3, 5))
+@example((33, 100, 60, 10, 20))
+# single-residue windows
+@example((37, 100, 0, 41, 41))
+@example((10, 100, 3, 41, 41))  # unreachable: every residue is 3 mod 10
+# s = 0: only b itself is ever visited
+@example((0, 100, 50, 50, 50))
+@example((0, 100, 49, 50, 60))
+def test_first_step_matches_linear_walk(problem):
+    s, m, b, lo, hi = problem
+    assert _first_step_into_window(b, s, m, lo, hi) == linear_first_step(b, s, m, lo, hi)
+    assert _first_multiple_in_window(s, m, lo, hi) == linear_first_step(0, s, m, lo, hi)
+
+
+# ---- find_brute against the linear oracle ----
+
+
+@st.composite
+def brute_problems(draw):
+    n = draw(st.integers(min_value=4, max_value=22))
+    denom = draw(st.sampled_from([7, 20, 100, 1000, 10**4]))
+    length = Fraction(draw(st.integers(min_value=1, max_value=denom)), denom)
+
+    def window():
+        lo = Fraction(draw(st.integers(min_value=0, max_value=denom)), denom)
+        return UnitInterval(lo, min(lo + length, Fraction(1)))
+
+    return n, window(), window()
+
+
+@settings(max_examples=300, deadline=None)
+@given(brute_problems())
+@example((12, UnitInterval(Fraction(0), Fraction(1)), UnitInterval(Fraction(1, 2), Fraction(1))))
+@example((21, UnitInterval(Fraction(1, 4), Fraction(1, 2)), UnitInterval(Fraction(3, 7), Fraction(1, 2))))
+def test_brute_matches_linear_oracle(problem):
+    n, I, J = problem
+    cfg = SearchConfig(brute_cap=10**9)
+    w = find_brute(n, I, J, cfg)
+    expect = linear_find_brute(n, I, J)
+    assert (None if w is None else w.a) == expect
+    if w is not None:
+        assert verify_witness(w, I, J).passed
+
+
+@pytest.mark.parametrize("n", [6, 9, 12, 15, 18, 21])
+def test_brute_requeries_past_non_coprime_hits(n):
+    # 3 | n makes F_n even: a hit at an even a must be skipped, not returned
+    fn, step = fib(n), fib(n - 1)
+    rng = random.Random(n)
+    requeried = 0
+    for _ in range(60):
+        lo_a = rng.randrange(1, fn)
+        I = UnitInterval(Fraction(lo_a, fn), Fraction(1))
+        w_lo = rng.randrange(fn)
+        J = UnitInterval(Fraction(w_lo, fn), Fraction(min(w_lo + fn // 50, fn - 1), fn))
+        first_hit = next(
+            (a for a in range(lo_a, fn) if J.lo * fn <= (step * a) % fn <= J.hi * fn), None
+        )
+        w = find_brute(n, I, J, DEFAULT_CONFIG)
+        assert (None if w is None else w.a) == linear_find_brute(n, I, J)
+        if first_hit is not None and math.gcd(first_hit, fn) != 1:
+            requeried += 1
+    assert requeried > 0
+
+
+def test_brute_reaches_n2000_with_narrow_windows():
+    # consecutive Fibonacci numbers are Euclid's worst case: about n solver
+    # frames, far past the recursion limit; the cap only gates the strategy
+    n = 2000
+    eta = Fraction(1, 10**200)
+    I = interval_at(Fraction(1, 3), eta)
+    J = interval_at(Fraction(2, 3), eta)
+    cfg = SearchConfig(strategy="brute", brute_cap=10**500)
+    w = find_brute(n, I, J, cfg)
+    assert w is not None and w.strategy_used == "brute"
+    assert verify_witness(w, I, J).passed
+    # nothing qualifies strictly below the witness
+    below = UnitInterval(I.lo, Fraction(w.a - 1, fib(n)))
+    assert find_brute(n, below, J, cfg) is None
 
 
 # ---- find_two_scale ----
