@@ -28,7 +28,7 @@ from .report import (
     to_csv,
     to_json,
 )
-from .search import SearchConfig
+from .search import STRATEGIES
 
 USAGE_ERROR = 2
 
@@ -53,9 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--n0", type=int, default=5)
     p.add_argument("--delta", choices=sorted(nest.SCHEDULES), default="pow2")
-    p.add_argument("--strategy", choices=("auto", "brute", "two_scale"), default="auto")
-    p.add_argument("--brute-cap", type=int, default=SearchConfig().brute_cap)
-    p.add_argument("--j-max", type=int, default=SearchConfig().j_max)
+    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     add_common(p)
 
     p = sub.add_parser("verify-cert", help="re-check a stored certificate")
@@ -116,14 +114,11 @@ def _render(obj: Union[BoundReport, ReportBundle], fmt: str) -> str:
 
 
 def _cmd_construct(args) -> int:
-    cfg = SearchConfig(
-        strategy=args.strategy, brute_cap=args.brute_cap, j_max=args.j_max
-    )
     cert = nest.build(
         depth=args.depth,
         schedule=nest.schedule_by_name(args.delta),
         n0=args.n0,
-        cfg=cfg,
+        strategy=args.strategy,
     )
     verification = nest.verify_certificate(cert)
     payload = nest.certificate_to_json(cert)
@@ -213,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, nest.DepthUnreachable) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

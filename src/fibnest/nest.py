@@ -27,13 +27,7 @@ from .report import (
     bound_report,
     equality_report,
 )
-from .search import (
-    DEFAULT_CONFIG,
-    RangeTooLarge,
-    SearchConfig,
-    TwoScaleExhausted,
-    find_witness,
-)
+from .search import STRATEGIES, find_witness
 
 
 class DepthUnreachable(RuntimeError):
@@ -121,10 +115,13 @@ def build(
     depth: int,
     schedule: Optional[DeltaSchedule] = None,
     n0: int = 5,
-    cfg: SearchConfig = DEFAULT_CONFIG,
+    strategy: str = "auto",
     max_index_steps: int = 300,
 ) -> Certificate:
-    """Build a certificate with `depth` stages beyond the seed."""
+    """Build a certificate with `depth` stages beyond the seed, searching
+    witnesses with the named strategy (see search.find_witness)."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if n0 < 4:
@@ -145,7 +142,9 @@ def build(
         target_i = trim(cur.I, Fraction(1, 2), "left")
         target_j = trim(cur.J, Fraction(1, 2), "left")
 
-        # smallest n whose trimmed target is wide enough for an integer position
+        # smallest n whose trimmed target is wide enough for an integer
+        # position; F_n >= 2 F_prev^2 / delta_prev also makes the new window
+        # at most 1/4 of the old one, so it fits in the untouched right half
         n_try = fib_index_at_least(_ceil_rat(2 * fib(cur.n) ** 2 / cur.delta))
         n_try = max(n_try, cur.n + 1)
         if nu == 0:
@@ -155,34 +154,26 @@ def build(
         while True:
             if n_try - first_tried > max_index_steps:
                 raise DepthUnreachable(nu + 1, n_try - 1)
-            try:
-                witness = find_witness(n_try, target_i, target_j, cfg)
-            except (RangeTooLarge, TwoScaleExhausted):
-                # not findable at this n; raising the index retries
-                witness = None
+            witness = find_witness(n_try, target_i, target_j, strategy)
             if witness is not None:
-                new_len = delta_next / fib(n_try) ** 2
-                slack = min(cur.I.hi - witness.alpha_n, cur.J.hi - witness.beta_n)
-                if 2 * new_len <= slack:
-                    new_i = UnitInterval(witness.alpha_n, witness.alpha_n + new_len)
-                    new_j = UnitInterval(witness.beta_n, witness.beta_n + new_len)
-                    if cur.I.contains(new_i) and cur.J.contains(new_j):
-                        stages.append(
-                            Stage(
-                                nu=nu + 1,
-                                n=n_try,
-                                a=witness.a,
-                                delta=delta_next,
-                                alpha=witness.alpha_n,
-                                beta=witness.beta_n,
-                                I=new_i,
-                                J=new_j,
-                            )
-                        )
-                        break
+                break
             n_try += 1
 
-    return Certificate(schedule=schedule.name, policy=cfg.strategy, stages=tuple(stages))
+        new_len = delta_next / fib(n_try) ** 2
+        stages.append(
+            Stage(
+                nu=nu + 1,
+                n=n_try,
+                a=witness.a,
+                delta=delta_next,
+                alpha=witness.alpha_n,
+                beta=witness.beta_n,
+                I=UnitInterval(witness.alpha_n, witness.alpha_n + new_len),
+                J=UnitInterval(witness.beta_n, witness.beta_n + new_len),
+            )
+        )
+
+    return Certificate(schedule=schedule.name, policy=strategy, stages=tuple(stages))
 
 
 def approximants(cert: Certificate, level: int) -> tuple[Rat, Rat, Rat]:
@@ -331,6 +322,14 @@ def _stage_to_dict(st: Stage) -> dict:
     }
 
 
+_STAGE_KEYS = ("nu", "n", "a", "delta", "alpha", "beta", "I", "J")
+
+
+def _check_keys(obj, keys: tuple[str, ...], field: str) -> None:
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        raise ValueError(f"{field} must be an object with exactly the keys {', '.join(keys)}")
+
+
 def _stage_from_dict(d: dict) -> Stage:
     return Stage(
         nu=int(d["nu"]),
@@ -354,9 +353,25 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
+    """Parse a certificate, checking its shape; ValueError names the bad
+    field. Stage values are left to verify_certificate."""
     payload = json.loads(text)
+    _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
+    if payload["schedule"] not in SCHEDULES:
+        raise ValueError(f"schedule: unknown delta schedule {payload['schedule']!r}")
+    if payload["policy"] not in STRATEGIES:
+        raise ValueError(f"policy: unknown strategy {payload['policy']!r}")
+    if not isinstance(payload["stages"], list) or not payload["stages"]:
+        raise ValueError("stages must be a non-empty list")
+    stages = []
+    for nu, d in enumerate(payload["stages"]):
+        _check_keys(d, _STAGE_KEYS, f"stages[{nu}]")
+        stage = _stage_from_dict(d)
+        if stage.nu != nu:
+            raise ValueError(f"stages[{nu}].nu is {stage.nu}, expected {nu}")
+        stages.append(stage)
+    if stages[0] != seed_stage():
+        raise ValueError("stages[0] is not the seed stage")
     return Certificate(
-        schedule=payload["schedule"],
-        policy=payload["policy"],
-        stages=tuple(_stage_from_dict(d) for d in payload["stages"]),
+        schedule=payload["schedule"], policy=payload["policy"], stages=tuple(stages)
     )

@@ -7,10 +7,9 @@ lands in J.
 Two strategies are provided:
 
 * find_brute returns the smallest admissible position. It is exhaustive
-  (authoritative) and exact: a Euclid-style first-hit solver jumps from
-  one position whose residue lands in J to the next in O(log F_n) steps,
-  so its cost does not grow with the candidate count; brute_cap now only
-  selects the strategy.
+  (authoritative) and exact at every index: a Euclid-style first-hit
+  solver jumps from one position whose residue lands in J to the next in
+  O(log F_n) steps, so its cost does not grow with the candidate count.
 
 * find_two_scale corrects the fractional part greedily. A step of F_k
   on a moves the residue F_{n-1} a mod F_n by exactly (-1)^(k-1) F_{n-k},
@@ -19,6 +18,10 @@ Two strategies are provided:
   of F_{k*} for a near-half index k* coprime to n then restore
   coprimality without leaving either window. All conditions are
   re-verified exactly before a witness is returned.
+
+find_witness takes the strategy by name: "brute", "two_scale", or
+"auto", which uses find_brute up to AUTO_BRUTE_MAX candidate positions
+and find_two_scale beyond.
 """
 
 from __future__ import annotations
@@ -31,45 +34,20 @@ from .exact import Rat, UnitInterval, frac
 from .fib import fib
 from .report import ReportBundle, bound_report, equality_report, membership_report
 
+STRATEGIES = ("auto", "brute", "two_scale")
+
+# auto's crossover: the frozen certificates (stage 3 at n = 82 for pow2,
+# n0 = 5) come from the two-scale fallback past this many positions.
+AUTO_BRUTE_MAX = 10_000_000
+
 
 class RangeTooLarge(RuntimeError):
-    """Brute candidate count exceeds the configured cap."""
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"brute scan of {count} candidates exceeds cap {cap}")
-        self.count = count
-        self.cap = cap
+    """Raised by nothing; kept only because the benchmark's span recorder
+    (perfbench/spans.py) looks up search.RangeTooLarge."""
 
 
 class TwoScaleExhausted(RuntimeError):
-    """No coprimality adjustment j <= j_max worked in stage 2."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    strategy: str = "auto"  # brute | two_scale | auto
-    brute_cap: int = 10_000_000
-    j_max: int = 64
-    sigma_hint: Rat = Fraction(1, 10)
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("brute", "two_scale", "auto"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.brute_cap < 1:
-            raise ValueError("brute_cap must be >= 1")
-        if self.j_max < 0:
-            raise ValueError("j_max must be >= 0")
-
-    def effective_j_max(self, n: int) -> int:
-        """j_max, enlarged to floor(F_n ** sigma_hint) when that is bigger."""
-        sigma = Fraction(self.sigma_hint)
-        if sigma <= 0:
-            return self.j_max
-        grown = _iroot(fib(n) ** sigma.numerator, sigma.denominator)
-        return max(self.j_max, grown)
-
-
-DEFAULT_CONFIG = SearchConfig()
+    """Stage 2 found no coprime a0 + j*F_{k*} inside I."""
 
 
 @dataclass(frozen=True)
@@ -79,25 +57,6 @@ class LemmaWitness:
     alpha_n: Rat
     beta_n: Rat
     strategy_used: str
-
-
-def _iroot(x: int, r: int) -> int:
-    """floor(x ** (1/r)) for x >= 0, r >= 1, by integer Newton."""
-    if x < 0 or r < 1:
-        raise ValueError("need x >= 0 and r >= 1")
-    if x == 0 or r == 1:
-        return x
-    g = 1 << (x.bit_length() // r + 1)
-    while True:
-        ng = ((r - 1) * g + x // g ** (r - 1)) // r
-        if ng >= g:
-            break
-        g = ng
-    while g**r > x:
-        g -= 1
-    while (g + 1) ** r <= x:
-        g += 1
-    return g
 
 
 def select_kstar(n: int) -> int:
@@ -114,25 +73,16 @@ def select_kstar(n: int) -> int:
     raise RuntimeError(f"no admissible k for n={n}")  # unreachable for n >= 4
 
 
-def _position_range(n: int, span: UnitInterval) -> tuple[int, int]:
-    """Integer positions a with a/F_n in span, clamped to 1 <= a < F_n."""
+def _integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
+    """The integers k with k/F_n in span and 0 <= k < F_n, as (first, last)."""
     fn = fib(n)
-    lo = max(math.ceil(span.lo * fn), 1)
-    hi = min(math.floor(span.hi * fn), fn - 1)
-    return lo, hi
+    return math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1)
 
 
 def candidate_count(n: int, region: UnitInterval) -> int:
-    lo, hi = _position_range(n, region)
-    return max(0, hi - lo + 1)
-
-
-def _residue_window(n: int, span: UnitInterval) -> tuple[int, int]:
-    """Integer residues r with r/F_n in span (residues live in [0, F_n))."""
-    fn = fib(n)
-    lo = max(math.ceil(span.lo * fn), 0)
-    hi = min(math.floor(span.hi * fn), fn - 1)
-    return lo, hi
+    """The number of positions 1 <= a < F_n with a/F_n in region."""
+    lo, hi = _integer_range(n, region)
+    return max(0, hi - max(lo, 1) + 1)
 
 
 def _make_witness(n: int, a: int, strategy: str) -> LemmaWitness:
@@ -187,33 +137,24 @@ def _first_step_into_window(b: int, s: int, m: int, lo: int, hi: int) -> int | N
     return _first_multiple_in_window(s, m, (lo - b) % m, (hi - b) % m)
 
 
-def find_brute(
-    n: int, I: UnitInterval, J: UnitInterval, cfg: SearchConfig = DEFAULT_CONFIG
-) -> LemmaWitness | None:
+def find_brute(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
     """Exhaustive search: the smallest qualifying a, or None if none exists.
 
     The positions whose residue F_{n-1} a mod F_n lands in J are visited in
     increasing order by the first-hit solver, each jump in O(log F_n)
     steps; a hit that is not coprime to F_n re-queries from a + 1. The cost
     grows with log F_n and the number of such hits, not with the candidate
-    count. brute_cap only selects the strategy: RangeTooLarge is raised
-    when the count exceeds it, and auto dispatch falls back to the
-    two-scale search there.
+    count, so no range is too large to search.
     """
     if n < 2:
         raise ValueError(f"find_brute needs n >= 2, got {n}")
     fn = fib(n)
-    a_lo, a_hi = _position_range(n, I)
-    if a_lo > a_hi:
-        return None
-    count = a_hi - a_lo + 1
-    if count > cfg.brute_cap:
-        raise RangeTooLarge(count, cfg.brute_cap)
-    w_lo, w_hi = _residue_window(n, J)
+    a_lo, a_hi = _integer_range(n, I)
+    w_lo, w_hi = _integer_range(n, J)
     if w_lo > w_hi:
         return None
     step = fib(n - 1) % fn
-    a = a_lo
+    a = max(a_lo, 1)
     while a <= a_hi:
         t = _first_step_into_window((step * a) % fn, step, fn, w_lo, w_hi)
         if t is None or a + t > a_hi:
@@ -225,17 +166,16 @@ def find_brute(
     return None
 
 
-def find_two_scale(
-    n: int, I: UnitInterval, J: UnitInterval, cfg: SearchConfig = DEFAULT_CONFIG
-) -> LemmaWitness | None:
+def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
     """Two-scale search; None when the greedy stepping cannot land.
 
     Stage 1 walks a from the bottom of the position range, correcting the
     residue with steps F_k (k = 2, 3, ...) whenever the forward distance
     to the window start admits the step without overshooting past the
-    window end. Stage 2 restores coprimality with a = a0 + j*F_{k*}.
-    The budget for stage 2 never moves a past the right end of I; drift
-    of the fractional part is caught by the final exact verification.
+    window end. Stage 2 restores coprimality with a = a0 + j*F_{k*}; it
+    never moves a past the right end of I and raises TwoScaleExhausted
+    when no such j is left. Drift of the fractional part is caught by the
+    final exact verification.
     """
     if n < 4:
         raise ValueError(f"find_two_scale needs n >= 4, got {n}")
@@ -246,16 +186,12 @@ def find_two_scale(
     eta = I.length
 
     # stage 1: positions restricted to the left half of I, residues to the
-    # middle third of J
-    half = UnitInterval(I.lo, I.lo + eta / 2)
-    a_lo, a_hi = _position_range(n, half)
-    # a = 0 is admissible as a stage-1 start; stage 2 must fix it up
-    if I.lo == 0:
-        a_lo = 0
+    # middle third of J; a = 0 is admissible as a start, stage 2 fixes it up
+    a_lo, a_hi = _integer_range(n, UnitInterval(I.lo, I.lo + eta / 2))
     if a_lo > a_hi:
         return None
     third = UnitInterval(J.lo + eta / 3, J.lo + 2 * eta / 3)
-    w_lo, w_hi = _residue_window(n, third)
+    w_lo, w_hi = _integer_range(n, third)
     if w_lo > w_hi:
         return None
     width = w_hi - w_lo
@@ -282,15 +218,15 @@ def find_two_scale(
     a0 = a
     if math.gcd(a0, fn) != 1:
         f_kstar = fib(select_kstar(n))
-        budget = (min(math.floor(I.hi * fn), fn - 1) - a0) // f_kstar
-        j_cap = min(cfg.effective_j_max(n), budget)
-        for j in range(1, j_cap + 1):
+        budget = (_integer_range(n, I)[1] - a0) // f_kstar
+        # gcd(F_{k*}, F_n) = 1, so each prime p of F_n rules out only one j in every p
+        for j in range(1, budget + 1):
             if math.gcd(a0 + j * f_kstar, fn) == 1:
                 a = a0 + j * f_kstar
                 break
         else:
             raise TwoScaleExhausted(
-                f"no coprime adjustment within j <= {j_cap} at n={n}"
+                f"no coprime adjustment within j <= {budget} at n={n}"
             )
 
     if not 1 <= a < fn:
@@ -302,16 +238,18 @@ def find_two_scale(
 
 
 def find_witness(
-    n: int, I: UnitInterval, J: UnitInterval, cfg: SearchConfig = DEFAULT_CONFIG
+    n: int, I: UnitInterval, J: UnitInterval, strategy: str = "auto"
 ) -> LemmaWitness | None:
-    """Strategy dispatch. auto scans exhaustively while the candidate
-    count fits the cap and falls back to the two-scale search beyond it."""
-    if cfg.strategy == "brute" or (
-        cfg.strategy == "auto" and candidate_count(n, I) <= cfg.brute_cap
+    """Strategy dispatch. auto searches exhaustively up to AUTO_BRUTE_MAX
+    candidate positions and uses the two-scale search beyond."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "brute" or (
+        strategy == "auto" and candidate_count(n, I) <= AUTO_BRUTE_MAX
     ):
-        return find_brute(n, I, J, cfg)
+        return find_brute(n, I, J)
     try:
-        return find_two_scale(n, I, J, cfg)
+        return find_two_scale(n, I, J)
     except TwoScaleExhausted:
         return None
 

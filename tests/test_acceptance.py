@@ -21,7 +21,6 @@ from fibnest.exact import UnitInterval
 from fibnest.fib import fib
 from fibnest.nest import certificate_from_json, verify_certificate
 from fibnest.search import (
-    DEFAULT_CONFIG,
     TwoScaleExhausted,
     find_brute,
     find_two_scale,
@@ -126,11 +125,11 @@ def test_criterion_7_search_route_agreement():
         lo_j = Fraction(rng.randint(0, 19 * 50), 20 * 50)
         target_i = UnitInterval(lo_i, lo_i + eta)
         target_j = UnitInterval(lo_j, lo_j + eta)
-        witness = find_brute(n, target_i, target_j, DEFAULT_CONFIG)
+        witness = find_brute(n, target_i, target_j)
         assert witness is not None, (n, target_i, target_j)
         assert verify_witness(witness, target_i, target_j).passed
         try:
-            other = find_two_scale(n, target_i, target_j, DEFAULT_CONFIG)
+            other = find_two_scale(n, target_i, target_j)
         except TwoScaleExhausted:
             other = None
         if other is not None:

@@ -67,6 +67,41 @@ def test_verify_cert_rejects_mutation(tmp_path, capsys, cert1):
     assert "FAIL" in stdout
 
 
+def test_construct_unreachable_depth_is_usage_error(capsys):
+    # the default index budget runs out at stage 5
+    code, stdout, stderr = run(capsys, "construct", "--depth", "5")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: no witness for stage 5; last index tried n=976\n"
+
+
+def test_construct_brute_is_exhaustive(tmp_path, capsys):
+    out = tmp_path / "brute.json"
+    code, stdout, _ = run(capsys, "construct", "--depth", "3", "--strategy", "brute", "--out", str(out))
+    assert code == 0
+    assert "FAIL" not in stdout
+    payload = json.loads(out.read_text())
+    assert payload["policy"] == "brute"
+    assert [st["n"] for st in payload["stages"][1:]] == [5, 19, 77]
+
+
+@pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
+@pytest.mark.parametrize("field, value", [("schedule", "bogus"), ("policy", "bogus"), ("stages", [])])
+def test_malformed_certificate_is_usage_error(tmp_path, capsys, cert1, command, field, value):
+    payload = json.loads(certificate_to_json(cert1))
+    payload[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    if command == "verify-cert":
+        argv = ["verify-cert", "--in", str(path)]
+    else:
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "1"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: {field}")
+
+
 def test_verify_cert_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify-cert", "--in", str(tmp_path / "nope.json"))
     assert code == 2

@@ -7,7 +7,6 @@ import pytest
 
 from fibnest.exact import UnitInterval
 from fibnest.fib import fib
-from fibnest.search import SearchConfig
 from fibnest.nest import (
     SCHEDULES,
     Certificate,
@@ -96,9 +95,9 @@ def test_build_depth_four_auto_bytes_frozen(schedule, digest):
 
 
 def test_build_depth_four_exhaustive_brute():
-    # with the cap out of the way the exhaustive search finds stage 3 at
-    # n = 77, below the two_scale fallback's n = 82
-    cert = build(depth=4, n0=5, cfg=SearchConfig(strategy="brute", brute_cap=10**300))
+    # the exhaustive search finds stage 3 at n = 77, below the two_scale
+    # fallback's n = 82 that auto takes past its crossover
+    cert = build(depth=4, n0=5, strategy="brute")
     assert [s.n for s in cert.stages] == [1, 5, 19, 77, 313]
     assert cert.policy == "brute"
     assert verify_certificate(cert).passed
@@ -119,6 +118,8 @@ def test_build_validation():
         build(depth=-1)
     with pytest.raises(ValueError):
         build(depth=1, n0=3)
+    with pytest.raises(ValueError, match="magic"):
+        build(depth=0, strategy="magic")
 
 
 def test_build_depth_unreachable():
@@ -221,6 +222,60 @@ def test_certificate_from_json_rejects_garbage_rational(cert1):
         payload["stages"][1]["I"][0] = garbage
         with pytest.raises(ValueError):
             certificate_from_json(json.dumps(payload))
+
+
+def _set(path, value):
+    """A corruption that sets payload[path[0]][path[1]]... to value."""
+    *parents, last = path
+
+    def mutate(payload):
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return payload
+    return mutate
+
+
+def _drop(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+def _drop_stage_key(key):
+    def mutate(payload):
+        del payload["stages"][1][key]
+        return payload
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda payload: [], "certificate"),
+        (_drop("policy"), "certificate"),
+        (_set(["extra"], 1), "certificate"),
+        (_set(["schedule"], "bogus"), "schedule"),
+        (_set(["policy"], "bogus"), "policy"),
+        (_set(["stages"], []), "stages"),
+        (_set(["stages"], {}), "stages"),
+        (_set(["stages", 1], [1, 5]), r"stages\[1\]"),
+        (_drop_stage_key("beta"), r"stages\[1\]"),
+        (_set(["stages", 1, "gamma"], "0/1"), r"stages\[1\]"),
+        (_set(["stages", 1, "nu"], 7), r"stages\[1\]\.nu"),
+        (_set(["stages", 0, "n"], 2), r"stages\[0\]"),
+        (_set(["stages", 0, "a"], "1"), r"stages\[0\]"),
+        (_set(["stages", 0, "alpha"], "1/2"), r"stages\[0\]"),
+    ],
+    ids=[
+        "not-object", "missing-key", "extra-key", "schedule", "policy", "no-stages",
+        "stages-not-list", "stage-not-object", "stage-missing-key", "stage-extra-key",
+        "nu", "seed-n", "seed-a", "seed-alpha",
+    ],
+)
+def test_certificate_from_json_checks_schema(cert1, mutate, field):
+    payload = mutate(json.loads(certificate_to_json(cert1)))
+    with pytest.raises(ValueError, match=f"^{field}"):
+        certificate_from_json(json.dumps(payload))
 
 
 def test_build_determinism(cert3):

@@ -9,14 +9,9 @@ from hypothesis import strategies as st
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
 from fibnest.search import (
-    DEFAULT_CONFIG,
     _first_multiple_in_window,
     _first_step_into_window,
-    _position_range,
-    _residue_window,
     LemmaWitness,
-    RangeTooLarge,
-    SearchConfig,
     TwoScaleExhausted,
     candidate_count,
     find_brute,
@@ -33,10 +28,10 @@ def interval_at(lo: Fraction, length: Fraction) -> UnitInterval:
 
 def linear_find_brute(n: int, I: UnitInterval, J: UnitInterval):
     """Oracle: scan every position of I in increasing order; the smallest
-    coprime a whose residue lands in J, or None. No cap."""
+    coprime a whose residue lands in J, or None."""
     fn = fib(n)
-    a_lo, a_hi = _position_range(n, I)
-    w_lo, w_hi = _residue_window(n, J)
+    a_lo, a_hi = max(math.ceil(I.lo * fn), 1), min(math.floor(I.hi * fn), fn - 1)
+    w_lo, w_hi = math.ceil(J.lo * fn), math.floor(J.hi * fn)
     step = fib(n - 1) % fn
     for a in range(a_lo, a_hi + 1):
         if w_lo <= (step * a) % fn <= w_hi and math.gcd(a, fn) == 1:
@@ -85,30 +80,20 @@ def test_select_kstar_rejects_small():
         select_kstar(3)
 
 
-# ---- SearchConfig ----
+# ---- strategy names ----
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(strategy="magic")
-    with pytest.raises(ValueError):
-        SearchConfig(brute_cap=0)
-    with pytest.raises(ValueError):
-        SearchConfig(j_max=-1)
-    # sigma is only a sizing hint; zero just disables the growth
-    assert SearchConfig(sigma_hint=Fraction(0)).effective_j_max(90) == 64
-
-
-def test_effective_j_max_grows_with_n():
-    assert DEFAULT_CONFIG.effective_j_max(20) == 64  # floor is the configured j_max
-    assert DEFAULT_CONFIG.effective_j_max(90) == 70
+    # the strategy name is the whole search configuration
+    with pytest.raises(ValueError, match="magic"):
+        find_witness(6, FULL_INTERVAL, FULL_INTERVAL, "magic")
 
 
 # ---- find_brute ----
 
 
 def test_brute_whole_space():
-    w = find_brute(6, FULL_INTERVAL, FULL_INTERVAL, DEFAULT_CONFIG)
+    w = find_brute(6, FULL_INTERVAL, FULL_INTERVAL)
     assert w is not None
     assert (w.n, w.a) == (6, 1)
     assert w.alpha_n == Fraction(1, 8)
@@ -119,32 +104,26 @@ def test_brute_whole_space():
 def test_brute_three_candidate_miss():
     I = UnitInterval(Fraction(1, 4), Fraction(1, 2))
     J = UnitInterval(Fraction(0), Fraction(1, 4))
-    assert find_brute(6, I, J, DEFAULT_CONFIG) is None
+    assert find_brute(6, I, J) is None
 
 
 def test_brute_degenerate_residue_system():
     # F_2 = 1 leaves no admissible a at all
-    assert find_brute(2, FULL_INTERVAL, FULL_INTERVAL, DEFAULT_CONFIG) is None
+    assert find_brute(2, FULL_INTERVAL, FULL_INTERVAL) is None
 
 
 def test_brute_narrow_windows_at_n20():
     I = interval_at(Fraction(1, 3), Fraction(1, 100))
     J = interval_at(Fraction(2, 3), Fraction(1, 100))
     assert candidate_count(20, I) == 68
-    assert find_brute(20, I, J, DEFAULT_CONFIG) is None
-
-
-def test_brute_cap_exceeded():
-    with pytest.raises(RangeTooLarge) as exc:
-        find_brute(40, FULL_INTERVAL, FULL_INTERVAL, DEFAULT_CONFIG)
-    assert exc.value.count > exc.value.cap == DEFAULT_CONFIG.brute_cap
+    assert find_brute(20, I, J) is None
 
 
 def test_brute_returns_smallest_a():
     # at n=19 in these windows the candidates 1673, 1674 miss and 1675 hits
     I = UnitInterval(Fraction(2, 5), Fraction(41, 100))
     J = UnitInterval(Fraction(1, 5), Fraction(21, 100))
-    w = find_brute(19, I, J, DEFAULT_CONFIG)
+    w = find_brute(19, I, J)
     assert w is not None and w.a == 1675
     assert w.beta_n == Fraction(865, 4181)
 
@@ -205,8 +184,7 @@ def brute_problems(draw):
 @example((21, UnitInterval(Fraction(1, 4), Fraction(1, 2)), UnitInterval(Fraction(3, 7), Fraction(1, 2))))
 def test_brute_matches_linear_oracle(problem):
     n, I, J = problem
-    cfg = SearchConfig(brute_cap=10**9)
-    w = find_brute(n, I, J, cfg)
+    w = find_brute(n, I, J)
     expect = linear_find_brute(n, I, J)
     assert (None if w is None else w.a) == expect
     if w is not None:
@@ -227,7 +205,7 @@ def test_brute_requeries_past_non_coprime_hits(n):
         first_hit = next(
             (a for a in range(lo_a, fn) if J.lo * fn <= (step * a) % fn <= J.hi * fn), None
         )
-        w = find_brute(n, I, J, DEFAULT_CONFIG)
+        w = find_brute(n, I, J)
         assert (None if w is None else w.a) == linear_find_brute(n, I, J)
         if first_hit is not None and math.gcd(first_hit, fn) != 1:
             requeried += 1
@@ -236,25 +214,24 @@ def test_brute_requeries_past_non_coprime_hits(n):
 
 def test_brute_reaches_n2000_with_narrow_windows():
     # consecutive Fibonacci numbers are Euclid's worst case: about n solver
-    # frames, far past the recursion limit; the cap only gates the strategy
+    # frames, far past the recursion limit
     n = 2000
     eta = Fraction(1, 10**200)
     I = interval_at(Fraction(1, 3), eta)
     J = interval_at(Fraction(2, 3), eta)
-    cfg = SearchConfig(strategy="brute", brute_cap=10**500)
-    w = find_brute(n, I, J, cfg)
+    w = find_brute(n, I, J)
     assert w is not None and w.strategy_used == "brute"
     assert verify_witness(w, I, J).passed
     # nothing qualifies strictly below the witness
     below = UnitInterval(I.lo, Fraction(w.a - 1, fib(n)))
-    assert find_brute(n, below, J, cfg) is None
+    assert find_brute(n, below, J) is None
 
 
 # ---- find_two_scale ----
 
 
 def test_two_scale_whole_space_degenerate():
-    w = find_two_scale(6, FULL_INTERVAL, FULL_INTERVAL, DEFAULT_CONFIG)
+    w = find_two_scale(6, FULL_INTERVAL, FULL_INTERVAL)
     assert w is not None and w.a == 1
     assert w.strategy_used == "two_scale"
 
@@ -262,21 +239,21 @@ def test_two_scale_whole_space_degenerate():
 def test_two_scale_empty_position_range():
     I = interval_at(Fraction(1, 3), Fraction(1, 10**6))
     J = interval_at(Fraction(2, 3), Fraction(1, 10**6))
-    assert find_two_scale(20, I, J, DEFAULT_CONFIG) is None
+    assert find_two_scale(20, I, J) is None
 
 
 def test_two_scale_agrees_with_brute_on_thirds_windows():
     I = interval_at(Fraction(1, 3), Fraction(1, 100))
     J = interval_at(Fraction(2, 3), Fraction(1, 100))
     # exhaustive scan found nothing here, so the guided search must not either
-    assert find_two_scale(20, I, J, DEFAULT_CONFIG) is None
+    assert find_two_scale(20, I, J) is None
 
 
 def test_two_scale_rejects_unequal_lengths():
     I = interval_at(Fraction(0), Fraction(1, 4))
     J = interval_at(Fraction(0), Fraction(1, 2))
     with pytest.raises(ValueError):
-        find_two_scale(20, I, J, DEFAULT_CONFIG)
+        find_two_scale(20, I, J)
 
 
 def _windows_starting_at(n: int, a0: int, eta: Fraction):
@@ -290,7 +267,7 @@ def _windows_starting_at(n: int, a0: int, eta: Fraction):
 def test_two_scale_coprimality_repair_single_step():
     # greedy position 37 shares a factor with F_19 = 37*113; one F_10 step fixes it
     I, J = _windows_starting_at(19, 37, Fraction(1, 20))
-    w = find_two_scale(19, I, J, DEFAULT_CONFIG)
+    w = find_two_scale(19, I, J)
     assert w is not None
     assert w.a == 37 + fib(10)
     assert math.gcd(w.a, fib(19)) == 1
@@ -300,7 +277,7 @@ def test_two_scale_coprimality_repair_single_step():
 def test_two_scale_coprimality_repair_multi_step():
     # a0 = 2 shares a factor with F_21; three F_11 steps restore coprimality
     I, J = _windows_starting_at(21, 2, Fraction(1, 20))
-    w = find_two_scale(21, I, J, DEFAULT_CONFIG)
+    w = find_two_scale(21, I, J)
     assert w is not None
     assert w.a == 2 + 3 * fib(11)
     assert math.gcd(w.a, fib(21)) == 1
@@ -326,25 +303,26 @@ def test_residue_step_identity(n):
 
 
 def test_auto_uses_brute_when_feasible():
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, DEFAULT_CONFIG)
+    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL)
     assert w is not None and w.strategy_used == "brute"
 
 
 def test_auto_switches_beyond_cap():
-    cfg = SearchConfig(strategy="auto", brute_cap=10)
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, cfg)
-    # 7 candidates fit under a cap of 10; shrink further to force the switch
+    # the crossover sits between F_35 - 1 and F_36 - 1 candidate positions
+    assert candidate_count(35, FULL_INTERVAL) == 9_227_464
+    w = find_witness(35, FULL_INTERVAL, FULL_INTERVAL)
     assert w is not None and w.strategy_used == "brute"
-    cfg = SearchConfig(strategy="auto", brute_cap=3)
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, cfg)
+    assert candidate_count(36, FULL_INTERVAL) == 14_930_351
+    w = find_witness(36, FULL_INTERVAL, FULL_INTERVAL)
     assert w is not None and w.strategy_used == "two_scale"
 
 
 def test_forced_strategies():
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, SearchConfig(strategy="two_scale"))
+    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, "two_scale")
     assert w is not None and w.strategy_used == "two_scale"
-    with pytest.raises(RangeTooLarge):
-        find_witness(40, FULL_INTERVAL, FULL_INTERVAL, SearchConfig(strategy="brute"))
+    # brute is exhaustive at any index, far past auto's crossover
+    w = find_witness(40, FULL_INTERVAL, FULL_INTERVAL, "brute")
+    assert w is not None and (w.a, w.strategy_used) == (1, "brute")
 
 
 # ---- verify_witness ----
@@ -388,11 +366,11 @@ def test_random_windows_brute_succeeds_and_verifies():
         n = rng.randint(18, 24)
         I = interval_at(Fraction(rng.randint(0, 19 * 50), 20 * 50), eta)
         J = interval_at(Fraction(rng.randint(0, 19 * 50), 20 * 50), eta)
-        w = find_brute(n, I, J, DEFAULT_CONFIG)
+        w = find_brute(n, I, J)
         assert w is not None
         assert verify_witness(w, I, J).passed
         try:
-            g = find_two_scale(n, I, J, DEFAULT_CONFIG)
+            g = find_two_scale(n, I, J)
         except TwoScaleExhausted:
             g = None
         if g is not None:
