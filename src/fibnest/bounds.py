@@ -6,8 +6,16 @@ dist is the distance to the nearest integer, found among the convergent
 denominators of F_{n-1}/F_n. Everything downstream compares such minima
 against the threshold 2/(3+sqrt5) = (3-sqrt5)/2 exactly.
 
-The scans that remain (littlewood_lower_bound, star_discrepancy) run in
-Python integers or Fractions over at most SCAN_CAP points.
+min_product and littlewood_lower_bound share one primitive,
+_candidate_min: the clamped product (dist(alpha x) - x err)+ (dist(beta x)
+- x err)+ evaluated only at the 2(n - 2) convergent candidates. At err = 0
+Legendre's theorem makes that the exact minimum. For err > 0 every other x
+scores at least (1/2 - Q(Q-1) err)/Q, so the candidate minimum is exact
+when it lies strictly below that; otherwise the bound is refused with
+ProxyTooShallow instead of falling back to a scan.
+
+The one scan that remains, star_discrepancy, runs in Python integers over
+at most SCAN_CAP points.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact import Rat, dist_int, rat_decimal, rat_str
+from .exact import Rat, rat_decimal, rat_str
 from .fib import fib, golden_convergent
 from .nest import Certificate, approximants
 from .report import BoundReport, ReportBundle, bound_report, equality_report
@@ -31,7 +39,7 @@ class ScanCapExceeded(ValueError):
 
 
 class ProxyTooShallow(ValueError):
-    """The proxy error budget swallows the whole product; bound vacuous."""
+    """The proxy error is too large to prove the candidate minimum exact."""
 
 
 @dataclass(frozen=True)
@@ -46,12 +54,7 @@ class MinRecord:
 @dataclass(frozen=True)
 class ErrorBudget:
     x_max: int
-    product_error: Rat  # bound on the product drift over the scan
-
-
-def _require_scan_size(fn: int) -> None:
-    if fn > SCAN_CAP:
-        raise ScanCapExceeded(f"F_n = {fn} exceeds scan cap {SCAN_CAP}")
+    product_error: Rat  # bound on the product drift over x = 1..x_max
 
 
 def _implied_epsilon(x: Rat) -> str:
@@ -61,6 +64,51 @@ def _implied_epsilon(x: Rat) -> str:
     if implied.sign() < 0:
         implied = Quad.of(0)
     return f"implied epsilon {implied.decimal(50)}"
+
+
+def _check_witness(n: int, a: int) -> int:
+    """Validate a witness (n, a) and return F_n."""
+    if n < 3:
+        raise ValueError(f"need n >= 3, got {n}")
+    fn = fib(n)
+    if not 1 <= a < fn:
+        raise ValueError(f"need 1 <= a < F_{n} = {fn}, got a = {a}")
+    if math.gcd(a, fn) != 1:
+        raise ValueError(f"a = {a} is not coprime to F_{n} = {fn}")
+    return fn
+
+
+def _candidate_min(n: int, a: int, err: Rat) -> tuple[Rat, int]:
+    """(value, x_min): the smallest (dist(a x/Q) - x err)+ (dist(b x/Q) -
+    x err)+, b = F_{n-1} a, over the candidates x = y a^-1 mod Q with y in
+    {F_k, Q - F_k : 2 <= k < n} and Q = F_n; ties go to the smallest x.
+
+    With y = a x mod Q the distances are near(y)/Q and near(F_{n-1} y)/Q,
+    and F_{n-1} F_k = +-F_{n-k} (mod Q) makes the second near(F_{n-k})/Q for
+    both y = F_k and y = Q - F_k. Writing err Q = e_num/e_den, each factor
+    is the integer (near(.) e_den - x e_num)+ over Q e_den, so the loop
+    compares integer products. x_k = F_k a^-1 follows the Fibonacci
+    recurrence mod Q.
+    """
+    q = fib(n)
+    e = err * q
+    e_num, e_den = e.numerator, e.denominator
+
+    def near(r: int) -> int:  # Q * dist(r / Q)
+        return min(r, q - r)
+
+    best: Optional[tuple[int, int]] = None
+    x_prev, x = 0, pow(a, -1, q)  # F_{k-1} a^-1, F_k a^-1 (mod Q) at k = 1
+    for k in range(2, n):
+        x_prev, x = x, (x + x_prev) % q
+        u1, u2 = near(fib(k)) * e_den, near(fib(n - k)) * e_den
+        for cand in (x, q - x):
+            drift = cand * e_num
+            units = max(0, u1 - drift) * max(0, u2 - drift)
+            if best is None or (units, cand) < best:
+                best = (units, cand)
+    assert best is not None
+    return Fraction(best[0], (q * e_den) ** 2), best[1]
 
 
 def min_product(n: int, a: int) -> MinRecord:
@@ -77,30 +125,11 @@ def min_product(n: int, a: int) -> MinRecord:
     {F_k, F_n - F_k : 2 <= k < n}, and both score dist(F_k) dist(F_{n-k})
     since F_{n-1} F_k = +-F_{n-k} (mod F_n). For general a, x -> a x
     permutes the nonzero residues: same minimum, minimizers y a^-1 mod F_n.
+    So the minimum is _candidate_min at err = 0.
     """
-    if n < 3:
-        raise ValueError(f"min_product needs n >= 3, got {n}")
-    fn = fib(n)
-    if not 1 <= a < fn:
-        raise ValueError(f"need 1 <= a < F_{n} = {fn}, got a = {a}")
-    if math.gcd(a, fn) != 1:
-        raise ValueError(f"a = {a} is not coprime to F_{n} = {fn}")
-
-    def near(r: int) -> int:  # F_n * dist(r / F_n)
-        return min(r, fn - r)
-
-    units = {k: near(fib(k)) * near(fib(n - k)) for k in range(2, n)}
-    best = min(units.values())
-    inv = pow(a, -1, fn)
-    ties = (y for k, u in units.items() if u == best for y in (fib(k), fn - fib(k)))
-    x_min = min((y * inv) % fn for y in ties)
-    return MinRecord(
-        n=n,
-        a=a,
-        x_min=x_min,
-        value=Fraction(best, fn * fn),
-        scaled=Fraction(best, fn),
-    )
+    fn = _check_witness(n, a)
+    value, x_min = _candidate_min(n, a, Fraction(0))
+    return MinRecord(n=n, a=a, x_min=x_min, value=value, scaled=fn * value)
 
 
 def check_min_product_bound(n: int, a: int) -> tuple[BoundReport, MinRecord]:
@@ -190,7 +219,7 @@ def convergent_gap(n: int, k: int) -> ReportBundle:
 class LittlewoodResult:
     report: BoundReport
     budget: ErrorBudget
-    record: MinRecord  # certified lower-bound scan record (x_min, values)
+    record: MinRecord  # certified minimum record (x_min, values)
 
 
 def littlewood_lower_bound(
@@ -202,14 +231,26 @@ def littlewood_lower_bound(
     """Certified lower bound for Q * min over 1 <= x < Q of
     dist(alpha x) dist(beta x), with Q = F_{n_level}.
 
-    The scan runs on the level stage's exact rationals; the proxy stage
-    supplies the deviation radius err (its window width delta/F_n^2), and
-    each factor is lowered pointwise: dist(alpha x) >= max(0,
-    dist(alpha_level x) - x err) for any alpha within err of the stage
-    value. Deeper proxies shrink err, so the certified lhs is
+    The minimum is taken for the level stage's exact witness; the proxy
+    stage supplies the deviation radius err (its window width
+    delta/F_n^2), and each factor is lowered pointwise: dist(alpha x) >=
+    max(0, dist(alpha_level x) - x err) for any alpha within err of the
+    stage value. Deeper proxies shrink err, so the certified lhs is
     non-decreasing in proxy_level. With zero_error=True the drift term is
     dropped (err = 0) and proxy_level = level reproduces min_product
     verbatim.
+
+    The level stage must be a valid witness: n >= 3, 1 <= a < Q,
+    gcd(a, Q) = 1, alpha = a/Q and beta = frac(F_{n-1} a/Q); otherwise
+    ValueError. The minimum is evaluated at the convergent candidates only
+    (_candidate_min). Every other x has Q dist(alpha_level x)
+    dist(beta_level x) >= 1/2 by Legendre, and since the two distances sum
+    to at most 1 the drift costs it at most (Q-1) err, so its scaled
+    clamped product is >= 1/2 - Q(Q-1) err. When the candidate minimum,
+    scaled by Q, is not strictly below that gap, no point can be ruled out
+    without a scan, and ProxyTooShallow is raised instead; this covers
+    every proxy with err (Q-1) >= 1/2. The refusal never happens at
+    err = 0.
     """
     if not 1 <= level < len(cert.stages):
         raise ValueError(f"level must be in [1, {len(cert.stages) - 1}], got {level}")
@@ -219,34 +260,22 @@ def littlewood_lower_bound(
             f"proxy_level must be in [{low}, {len(cert.stages) - 1}], got {proxy_level}"
         )
     st = cert.stages[level]
-    q = fib(st.n)
-    _require_scan_size(q)
-    p_alpha, p_beta = st.alpha, st.beta
-    err = approximants(cert, proxy_level)[2]
-    if zero_error:
-        err = Fraction(0)
-    if err * (q - 1) >= Fraction(1, 2):
+    q = _check_witness(st.n, st.a)
+    if st.alpha != Fraction(st.a, q) or st.beta != Fraction(fib(st.n - 1) * st.a % q, q):
+        raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
+    err = Fraction(0) if zero_error else approximants(cert, proxy_level)[2]
+    best, best_x = _candidate_min(st.n, st.a, err)
+    lhs = q * best
+    gap = Fraction(1, 2) - q * (q - 1) * err
+    if err and lhs >= gap:
         raise ProxyTooShallow(
-            f"err * (Q-1) = {err * (q - 1)} >= 1/2; proxy level {proxy_level} "
-            f"is too shallow for Q = F_{st.n} = {q}"
+            f"Q * candidate minimum {rat_str(lhs)} is not below 1/2 - Q(Q-1) err = "
+            f"{rat_str(gap)}; proxy level {proxy_level} is too shallow for Q = F_{st.n} = {q}"
         )
-    best: Optional[Fraction] = None
-    best_x = 1
-    zero = Fraction(0)
-    for x in range(1, q):
-        drift = x * err
-        d1 = max(zero, dist_int(p_alpha * x) - drift)
-        d2 = max(zero, dist_int(p_beta * x) - drift)
-        prod = d1 * d2
-        if best is None or prod < best:
-            best = prod
-            best_x = x
-    assert best is not None
     budget = ErrorBudget(
         x_max=q - 1,
         product_error=(q - 1) * err,
     )
-    lhs = q * best
     report = bound_report(
         f"littlewood-lower-bound[level={level}, proxy={proxy_level}]",
         lhs,
@@ -301,7 +330,8 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     if n < 3:
         raise ValueError(f"star_discrepancy needs n >= 3, got {n}")
     fn = fib(n)
-    _require_scan_size(fn)
+    if fn > SCAN_CAP:
+        raise ScanCapExceeded(f"F_n = {fn} exceeds scan cap {SCAN_CAP}")
     if not 1 <= count < fn:
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
     step = fib(n - 1) % fn

@@ -51,9 +51,6 @@ class UnitInterval:
         q = Fraction(q)
         return self.lo <= q <= self.hi
 
-    def contains(self, other: "UnitInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
 
 FULL_INTERVAL = UnitInterval(Fraction(0), Fraction(1))
 

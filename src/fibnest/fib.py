@@ -1,4 +1,4 @@
-"""Fibonacci numbers, golden convergents, and Zeckendorf numeration.
+"""Fibonacci numbers and golden convergents.
 
 Indexing convention used across the whole package: F_1 = F_2 = 1.
 Index 0 is rejected everywhere so callers cannot drift off the
@@ -7,24 +7,17 @@ convention silently.
 
 from __future__ import annotations
 
-import math
-import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 _table: list[int] = [0, 1, 1]  # _table[k] = F_k; slot 0 is internal padding only
-_table_lock = threading.Lock()
 
 
 def fib(k: int) -> int:
     """Return F_k with F_1 = F_2 = 1. Rejects k < 1."""
     if k < 1:
         raise ValueError(f"Fibonacci index must be >= 1, got {k}")
-    if k >= len(_table):
-        with _table_lock:
-            # re-check under the lock; another thread may have grown the table
-            while k >= len(_table):
-                _table.append(_table[-1] + _table[-2])
+    while k >= len(_table):
+        _table.append(_table[-1] + _table[-2])
     return _table[k]
 
 
@@ -43,79 +36,3 @@ def golden_convergent(n: int) -> Fraction:
     if n < 2:
         raise ValueError(f"convergent index must be >= 2, got {n}")
     return Fraction(fib(n - 1), fib(n))
-
-
-def cf_expand(q: Fraction) -> list[int]:
-    """Canonical continued fraction of q in (0, 1), returned as
-    [0, a_1, ..., a_m].
-
-    The Euclidean algorithm yields the canonical form directly: the last
-    partial quotient is >= 2 because the final division is exact with a
-    strictly smaller divisor.
-    """
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise ValueError(f"cf_expand needs 0 < q < 1, got {q}")
-    quotients = [0]
-    p, r = q.denominator, q.numerator
-    while r:
-        quotients.append(p // r)
-        p, r = r, p % r
-    return quotients
-
-
-def cf_value(quotients: list[int]) -> Fraction:
-    """Rebuild the rational value of [a_0; a_1, ..., a_m]."""
-    if not quotients:
-        raise ValueError("empty continued fraction")
-    value = Fraction(quotients[-1])
-    for a in reversed(quotients[:-1]):
-        value = a + 1 / value
-    return value
-
-
-@dataclass(frozen=True)
-class ZeckendorfRep:
-    """Zeckendorf representation: strictly decreasing, non-adjacent
-    Fibonacci indices, all >= 2 (so F_2 = 1 is used, never F_1)."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for i in self.indices:
-            if i < 2:
-                raise ValueError(f"Zeckendorf index must be >= 2, got {i}")
-        for hi, lo in zip(self.indices, self.indices[1:]):
-            if hi - lo < 2:
-                raise ValueError(
-                    f"Zeckendorf indices must be non-adjacent, got {hi}, {lo}"
-                )
-
-    def value(self) -> int:
-        return sum(fib(i) for i in self.indices)
-
-
-def zeckendorf(m: int) -> ZeckendorfRep:
-    """Greedy Zeckendorf representation of m >= 0 (empty for m = 0)."""
-    if m < 0:
-        raise ValueError(f"zeckendorf needs m >= 0, got {m}")
-    indices: list[int] = []
-    rest = m
-    while rest > 0:
-        k = fib_index_at_least(rest)
-        if fib(k) > rest:
-            k -= 1
-        if k < 2:
-            k = 2  # F_2 = F_1 = 1; the representation always uses index 2
-        indices.append(k)
-        rest -= fib(k)
-    return ZeckendorfRep(tuple(indices))
-
-
-def fib_gcd(m: int, n: int) -> int:
-    """gcd(F_m, F_n), computed directly on the integers.
-
-    The identity gcd(F_m, F_n) = F_{gcd(m,n)} is checked in the test
-    suite against this direct route, not assumed here.
-    """
-    return math.gcd(fib(m), fib(n))

@@ -16,6 +16,7 @@ same stages and the same serialized bytes.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -330,16 +331,42 @@ def _check_keys(obj, keys: tuple[str, ...], field: str) -> None:
         raise ValueError(f"{field} must be an object with exactly the keys {', '.join(keys)}")
 
 
-def _stage_from_dict(d: dict) -> Stage:
+_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+
+
+def _stage_from_dict(d: dict, field: str) -> Stage:
+    """Parse one stage, requiring the types _stage_to_dict writes: JSON
+    integers nu and n, a decimal-digit string a, and reduced 'p/q' strings
+    for the rationals and the two endpoints of each window."""
+
+    def integer(key: str) -> int:
+        if type(d[key]) is not int:
+            raise ValueError(f"{field}.{key} must be a JSON integer, got {d[key]!r}")
+        return d[key]
+
+    def rational(value, name: str) -> Rat:
+        canonical = isinstance(value, str) and _RAT.fullmatch(value)
+        if not canonical or rat_str(Fraction(value)) != value:
+            raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
+        return Fraction(value)
+
+    def window(key: str) -> UnitInterval:
+        ends = d[key]
+        if not (isinstance(ends, list) and len(ends) == 2):
+            raise ValueError(f"{field}.{key} must be a list of two 'p/q' strings, got {ends!r}")
+        return UnitInterval(*(rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends)))
+
+    if not (isinstance(d["a"], str) and re.fullmatch("[0-9]+", d["a"])):
+        raise ValueError(f"{field}.a must be a string of decimal digits, got {d['a']!r}")
     return Stage(
-        nu=int(d["nu"]),
-        n=int(d["n"]),
+        nu=integer("nu"),
+        n=integer("n"),
         a=int(d["a"]),
-        delta=Fraction(d["delta"]),
-        alpha=Fraction(d["alpha"]),
-        beta=Fraction(d["beta"]),
-        I=UnitInterval(Fraction(d["I"][0]), Fraction(d["I"][1])),
-        J=UnitInterval(Fraction(d["J"][0]), Fraction(d["J"][1])),
+        delta=rational(d["delta"], f"{field}.delta"),
+        alpha=rational(d["alpha"], f"{field}.alpha"),
+        beta=rational(d["beta"], f"{field}.beta"),
+        I=window("I"),
+        J=window("J"),
     )
 
 
@@ -353,8 +380,9 @@ def certificate_to_json(cert: Certificate) -> str:
 
 
 def certificate_from_json(text: str) -> Certificate:
-    """Parse a certificate, checking its shape; ValueError names the bad
-    field. Stage values are left to verify_certificate."""
+    """Parse a certificate, checking its shape and the type of every stage
+    value; ValueError names the bad field. Whether the values form a valid
+    certificate is left to verify_certificate."""
     payload = json.loads(text)
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
     if payload["schedule"] not in SCHEDULES:
@@ -366,7 +394,7 @@ def certificate_from_json(text: str) -> Certificate:
     stages = []
     for nu, d in enumerate(payload["stages"]):
         _check_keys(d, _STAGE_KEYS, f"stages[{nu}]")
-        stage = _stage_from_dict(d)
+        stage = _stage_from_dict(d, f"stages[{nu}]")
         if stage.nu != nu:
             raise ValueError(f"stages[{nu}].nu is {stage.nu}, expected {nu}")
         stages.append(stage)

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibnest.bounds import (
@@ -22,9 +23,9 @@ from fibnest.bounds import (
     star_discrepancy,
     star_discrepancy_of_points,
 )
-from fibnest.exact import UnitInterval
+from fibnest.exact import UnitInterval, dist_int
 from fibnest.fib import fib
-from fibnest.nest import Certificate, Stage
+from fibnest.nest import Certificate, Stage, build, schedule_by_name, seed_stage
 from fibnest.surd import GOLDEN_INV_SQ, Quad
 
 
@@ -230,8 +231,9 @@ def test_littlewood_validation(cert3):
         littlewood_lower_bound(cert3, 1, 4)
     with pytest.raises(ValueError):
         littlewood_lower_bound(cert3, 3, 3)
-    with pytest.raises(ScanCapExceeded):
-        littlewood_lower_bound(cert3, 3, 3, zero_error=True)
+    # F_82 points: no scan and no cap, the candidate minimum is exact
+    res = littlewood_lower_bound(cert3, 3, 3, zero_error=True)
+    assert res.report.lhs == min_product(82, cert3.stages[3].a).scaled
 
 
 def test_littlewood_proxy_too_shallow(cert1):
@@ -249,6 +251,97 @@ def test_littlewood_proxy_too_shallow(cert1):
     shallow = Certificate(schedule="pow2", policy="auto", stages=cert1.stages + (fake,))
     with pytest.raises(ProxyTooShallow):
         littlewood_lower_bound(shallow, 1, 2)
+    # the gap rule also refuses proxies that err (Q - 1) >= 1/2 let through:
+    # at n = 12 the candidate minimum is 137/450, the gap 1/2 - 1/5
+    q = fib(12)
+    assert Fraction(1, 5 * q) < Fraction(1, 2)
+    with pytest.raises(ProxyTooShallow, match="137/450 is not below .* 3/10"):
+        littlewood_lower_bound(synthetic_certificate(12, 1, Fraction(1, 5 * q * (q - 1))), 1, 2)
+    # a level stage must be a witness: n = 2 is below the n >= 3 floor
+    with pytest.raises(ValueError, match="n >= 3"):
+        littlewood_lower_bound(shallow, 2, 2, zero_error=True)
+
+
+def test_littlewood_requires_stage_witness(cert1):
+    st = cert1.stages[1]
+    for field, value in (("alpha", st.alpha + Fraction(1, 100)), ("beta", st.beta / 2)):
+        bad = dataclasses.replace(st, **{field: value})
+        cert = Certificate(schedule="pow2", policy="auto", stages=(cert1.stages[0], bad))
+        with pytest.raises(ValueError, match="alpha and beta"):
+            littlewood_lower_bound(cert, 1, 1, zero_error=True)
+
+
+def scan_littlewood(n, a, err):
+    """Reference oracle: the exhaustive Fraction scan of the clamped
+    product over x = 1..F_n - 1, returning (Q * minimum, smallest x_min)."""
+    q = fib(n)
+    alpha, beta = Fraction(a, q), Fraction(fib(n - 1) * a % q, q)
+    zero = Fraction(0)
+    best, best_x = None, 1
+    for x in range(1, q):
+        drift = x * err
+        prod = max(zero, dist_int(alpha * x) - drift) * max(zero, dist_int(beta * x) - drift)
+        if best is None or prod < best:
+            best, best_x = prod, x
+    return q * best, best_x
+
+
+def synthetic_certificate(n, a, err):
+    """Seed, a level-1 witness (n, a), and a level-2 proxy stage with n = 1,
+    so its window width delta/F_1^2 is err itself. Not a verifiable
+    certificate; littlewood_lower_bound reads only the two stages."""
+    q = fib(n)
+    alpha, beta = Fraction(a, q), Fraction(fib(n - 1) * a % q, q)
+    point_i, point_j = UnitInterval(alpha, alpha), UnitInterval(beta, beta)
+    level = Stage(1, n, a, Fraction(1, 2), alpha, beta, point_i, point_j)
+    proxy = Stage(2, 1, 0, err, Fraction(0), Fraction(0), UnitInterval(0, 1), UnitInterval(0, 1))
+    return Certificate(schedule="pow2", policy="auto", stages=(seed_stage(), level, proxy))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=20),
+    st.integers(min_value=1),
+    # err = t / (Q (Q - 1)): the gap 1/2 - Q(Q-1) err fails from t ~ 0.12 on,
+    # and the old refusal err (Q - 1) >= 1/2 from t = Q/2 on
+    st.one_of(
+        st.fractions(min_value=0, max_value=Fraction(1, 4), max_denominator=10**4),
+        st.fractions(min_value=Fraction(1, 4), max_value=10**4, max_denominator=100),
+    ),
+)
+@example(n=12, seed=1, t=Fraction(0))
+@example(n=12, seed=1, t=Fraction(1, 5))  # refused, though err (Q - 1) < 1/2
+@example(n=13, seed=4, t=Fraction(10**4))
+def test_littlewood_matches_scan(n, seed, t):
+    q = fib(n)
+    a = seed % (q - 1) + 1
+    while math.gcd(a, q) != 1:
+        a = a % (q - 1) + 1
+    err = t / (q * (q - 1))
+    lhs, x_min = scan_littlewood(n, a, err)
+    try:
+        res = littlewood_lower_bound(synthetic_certificate(n, a, err), 1, 2)
+    except ProxyTooShallow:
+        # refused only when no point of the scan gets below the gap
+        assert t > 0 and lhs >= Fraction(1, 2) - t
+        return
+    assert (res.report.lhs, res.report.witness) == (lhs, x_min)
+    assert res.record.value == lhs / q
+
+
+@pytest.mark.parametrize("schedule", ["pow2", "inv"])
+def test_littlewood_every_level(schedule):
+    # Q * min_product(n, a) = F_{n-2}/F_n, above 2/(3+sqrt5) only for odd n
+    cert = build(depth=4, schedule=schedule_by_name(schedule))
+    for level in range(1, 5):
+        if level < 4:
+            res = littlewood_lower_bound(cert, level, level + 1)
+        else:
+            res = littlewood_lower_bound(cert, level, level, zero_error=True)
+        n = cert.stages[level].n
+        assert res.report.lhs <= Fraction(fib(n - 2), fib(n))
+        assert res.report.passed == (n % 2 == 1)
+    assert res.report.lhs == Fraction(fib(n - 2), fib(n))
 
 
 # ---- star discrepancy ----

@@ -102,6 +102,43 @@ def test_malformed_certificate_is_usage_error(tmp_path, capsys, cert1, command, 
     assert stderr.startswith(f"error: {field}")
 
 
+@pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("I", 5),
+        ("I", ["2/5"]),
+        ("J", ["1/5", 0.22]),
+        ("n", 5.7),
+        ("n", "5"),
+        ("nu", True),
+        ("a", 2),
+        ("a", "-2"),
+        ("delta", 0.5),
+        ("delta", "2/4"),
+        ("alpha", "0.4"),
+        ("beta", "1/0"),
+    ],
+    ids=[
+        "I-int", "I-one-end", "J-float-end", "n-float", "n-string", "nu-bool", "a-int",
+        "a-negative", "delta-float", "delta-unreduced", "alpha-decimal", "beta-zero-den",
+    ],
+)
+def test_untyped_stage_value_is_usage_error(tmp_path, capsys, cert1, command, field, value):
+    payload = json.loads(certificate_to_json(cert1))
+    payload["stages"][1][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    if command == "verify-cert":
+        argv = ["verify-cert", "--in", str(path)]
+    else:
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "1", "--zero-error"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: stages[1].{field}")
+
+
 def test_verify_cert_missing_file(tmp_path, capsys):
     code, _, stderr = run(capsys, "verify-cert", "--in", str(tmp_path / "nope.json"))
     assert code == 2
@@ -204,6 +241,18 @@ def test_littlewood_zero_error(tmp_path, capsys, cert3):
     )
     assert code == 0
     assert "lhs=2/5" in stdout
+
+
+@pytest.mark.parametrize("schedule, code", [("pow2", 1), ("inv", 0)])
+def test_littlewood_level_three(tmp_path, capsys, schedule, code):
+    # level 3 is n = 82 (pow2) or n = 77 (inv): only an odd index can beat
+    # the threshold
+    path = tmp_path / "cert4.json"
+    cert = fibnest.build(depth=4, schedule=fibnest.schedule_by_name(schedule))
+    path.write_text(certificate_to_json(cert))
+    got, stdout, _ = run(capsys, "littlewood", "--cert", str(path), "--level", "3", "--proxy", "4")
+    assert got == code
+    assert ("Q = F_82 =" if schedule == "pow2" else "Q = F_77 =") in stdout
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])

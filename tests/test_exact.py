@@ -54,8 +54,6 @@ def test_interval_basic():
     assert Fraction(1, 4) in iv
     assert Fraction(3, 4) in iv
     assert Fraction(7, 8) not in iv
-    assert iv.contains(UnitInterval(Fraction(1, 3), Fraction(2, 3)))
-    assert not iv.contains(UnitInterval(Fraction(0), Fraction(1, 2)))
 
 
 def test_interval_accepts_degenerate():
@@ -110,7 +108,7 @@ def test_trim_validation():
 def test_trim_contained_and_scaled(lo, length, keep, anchor):
     iv = UnitInterval(lo, lo + length)
     out = trim(iv, keep, anchor)
-    assert iv.contains(out)
+    assert iv.lo <= out.lo and out.hi <= iv.hi
     assert out.length == keep * iv.length
     if anchor == "left":
         assert out.lo == iv.lo

