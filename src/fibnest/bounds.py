@@ -14,6 +14,8 @@ scores at least (1/2 - Q(Q-1) err)/Q, so the candidate minimum is exact
 when it lies strictly below that; otherwise the bound is refused with
 ProxyTooShallow instead of falling back to a scan.
 
+No function scans pairs any more: check_nonconvergent_gap walks out from
+the nearest numerator of each denominator instead of visiting every y/x.
 The one scan that remains, star_discrepancy, runs in Python integers over
 at most SCAN_CAP points.
 """
@@ -156,7 +158,19 @@ def convergent_family(n: int) -> set[Rat]:
 
 def check_nonconvergent_gap(n: int, x_max: int) -> BoundReport:
     """Over reduced y/x in [0, 1] with x <= x_max, excluding the
-    convergent family, check min x^2 |F_{n-1}/F_n - y/x| >= 1/2."""
+    convergent family, check min x^2 |F_{n-1}/F_n - y/x| >= 1/2.
+
+    The minimum is F_n^-1 times the smallest x |c - F_n y|, c = F_{n-1} x,
+    with ties going to the smallest x and then the smallest y. For each x,
+    y walks outward from floor(c/F_n) and floor(c/F_n) + 1 inside
+    0 <= y <= x, always stepping on the nearer side and on a tie taking the
+    smaller y first. |c - F_n y| grows strictly with the distance of y from
+    c/F_n on each side, so the walk meets y in non-decreasing order with
+    ties to the smaller y, and the first admissible y (coprime to x, not a
+    convergent) is the one an exhaustive scan of y would keep. The walk
+    stops early once x |c - F_n y| reaches the best of the smaller x, which
+    a later x must beat strictly. The expected work per x is O(1).
+    """
     if n < 3:
         raise ValueError(f"check_nonconvergent_gap needs n >= 3, got {n}")
     fn = fib(n)
@@ -167,15 +181,21 @@ def check_nonconvergent_gap(n: int, x_max: int) -> BoundReport:
     best_units: Optional[int] = None  # best of x * |p x - fn y|, scaled by fn
     best_pair = (0, 1)
     for x in range(1, x_max + 1):
-        for y in range(0, x + 1):
-            if math.gcd(y, x) != 1:
-                continue
-            if Fraction(y, x) in family:
-                continue
-            units = x * abs(p * x - fn * y)
-            if best_units is None or units < best_units:
+        c = p * x
+        lo = c // fn
+        hi = lo + 1
+        while lo >= 0 or hi <= x:
+            if hi > x or (lo >= 0 and c - fn * lo <= fn * hi - c):
+                y, lo = lo, lo - 1
+            else:
+                y, hi = hi, hi + 1
+            units = x * abs(c - fn * y)
+            if best_units is not None and units >= best_units:
+                break
+            if math.gcd(y, x) == 1 and Fraction(y, x) not in family:
                 best_units = units
                 best_pair = (y, x)
+                break
     if best_units is None:
         raise ValueError(f"no non-convergent fraction with x <= {x_max}")
     lhs = Fraction(best_units, fn)
@@ -326,14 +346,15 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     cap on it is checked against the rational snapshot cap * ln(count+1)
     rounded to 12 places (the snapshot is recorded in the notes; caps
     are measured constants with wide margins, not sharp thresholds).
+    The work is count points, so count, not F_n, is held to SCAN_CAP.
     """
     if n < 3:
         raise ValueError(f"star_discrepancy needs n >= 3, got {n}")
     fn = fib(n)
-    if fn > SCAN_CAP:
-        raise ScanCapExceeded(f"F_n = {fn} exceeds scan cap {SCAN_CAP}")
     if not 1 <= count < fn:
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
+    if count > SCAN_CAP:
+        raise ScanCapExceeded(f"count = {count} exceeds scan cap {SCAN_CAP}")
     step = fib(n - 1) % fn
     residues = sorted((step * x) % fn for x in range(1, count + 1))
     d_star = _sorted_star_discrepancy(residues, fn)

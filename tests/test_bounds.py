@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fibnest.bounds import (
     PRIOR_BOUND,
+    SCAN_CAP,
     MinRecord,
     ProxyTooShallow,
     ScanCapExceeded,
@@ -26,6 +27,7 @@ from fibnest.bounds import (
 from fibnest.exact import UnitInterval, dist_int
 from fibnest.fib import fib
 from fibnest.nest import Certificate, Stage, build, schedule_by_name, seed_stage
+from fibnest.report import bound_report
 from fibnest.surd import GOLDEN_INV_SQ, Quad
 
 
@@ -140,6 +142,64 @@ def test_nonconvergent_gap_frozen():
     assert rep.passed
     assert rep.lhs == Fraction(116, 55)
     assert rep.witness == (3, 4)
+
+
+def scan_nonconvergent_gap(n, x_max):
+    """Reference oracle: the exhaustive double loop over every reduced y/x
+    with x <= x_max outside the convergent family, ties to the smallest x
+    and then the smallest y, reported as check_nonconvergent_gap does."""
+    fn, p = fib(n), fib(n - 1)
+    family = convergent_family(n)
+    best_units, best_pair = None, (0, 1)
+    for x in range(1, x_max + 1):
+        for y in range(0, x + 1):
+            if math.gcd(y, x) != 1 or Fraction(y, x) in family:
+                continue
+            units = x * abs(p * x - fn * y)
+            if best_units is None or units < best_units:
+                best_units, best_pair = units, (y, x)
+    if best_units is None:
+        raise ValueError(f"no non-convergent fraction with x <= {x_max}")
+    return bound_report(
+        f"nonconvergent-gap[n={n}, x_max={x_max}]",
+        Fraction(best_units, fn),
+        Fraction(1, 2),
+        witness=best_pair,
+        notes=f"minimizing fraction {best_pair[0]}/{best_pair[1]}",
+    )
+
+
+def assert_gap_matches_scan(n, x_max):
+    """Check against the oracle; return False when nothing is admissible."""
+    try:
+        want = scan_nonconvergent_gap(n, x_max)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            check_nonconvergent_gap(n, x_max)
+        return False
+    assert check_nonconvergent_gap(n, x_max) == want, (n, x_max)
+    return True
+
+
+def test_nonconvergent_gap_matches_scan_every_x_max():
+    empty = 0
+    for n in range(4, 14):
+        for x_max in range(2, min(fib(n) - 1, 100) + 1):
+            empty += not assert_gap_matches_scan(n, x_max)
+    assert empty > 0  # e.g. n = 4, x_max = 2: only 0/1, 1/1 and 1/2
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=4, max_value=25), st.integers(min_value=2, max_value=300))
+def test_nonconvergent_gap_matches_scan_sampled(n, x_max):
+    assert_gap_matches_scan(n, min(x_max, fib(n) - 1))
+
+
+def test_nonconvergent_gap_n20_x500_matches_scan():
+    # the largest q1 op of the benchmark menu
+    rep = check_nonconvergent_gap(20, 500)
+    assert rep == scan_nonconvergent_gap(20, 500)
+    assert rep.passed
 
 
 def test_nonconvergent_gap_validation():
@@ -402,8 +462,12 @@ def test_star_discrepancy_validation():
         star_discrepancy(6, 0)
     with pytest.raises(ValueError):
         star_discrepancy(6, 8)
-    with pytest.raises(ScanCapExceeded):
-        star_discrepancy(40, 100)
+    # the cap bounds the points visited, not F_n: 100 points of F_40 run
+    fn, step = fib(40), fib(39)
+    points = [Fraction(step * x % fn, fn) for x in range(1, 101)]
+    assert star_discrepancy(40, 100).lhs == 100 * star_discrepancy_of_points(points)
+    with pytest.raises(ScanCapExceeded, match=f"count = {SCAN_CAP + 1} exceeds"):
+        star_discrepancy(40, SCAN_CAP + 1)
 
 
 # ---- limit table ----
