@@ -12,6 +12,7 @@ Exit codes: 0 all requested checks pass, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from fractions import Fraction
@@ -133,10 +134,32 @@ def _cmd_construct(args) -> int:
     return 0 if verification.passed else 1
 
 
+@contextlib.contextmanager
+def _int_text_unlimited():
+    """Lift the interpreter's int<->str digit limit for the block.
+
+    The limit stays in force while a certificate is parsed, where it guards
+    against oversized input. A parsed certificate with a corrupted stage
+    index can still make F_n longer than the limit, and its failed checks
+    must be verified and rendered like any other. The limit API is missing
+    before Python 3.10.7; there is no limit to lift there."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_verify_cert(args) -> int:
     cert = nest.certificate_from_json(args.infile.read_text(encoding="utf-8"))
-    verification = nest.verify_certificate(cert)
-    _emit(_render(verification, args.format), args.out)
+    with _int_text_unlimited():
+        verification = nest.verify_certificate(cert)
+        _emit(_render(verification, args.format), args.out)
     return 0 if verification.passed else 1
 
 
@@ -175,15 +198,16 @@ def _cmd_q2(args) -> int:
 
 def _cmd_littlewood(args) -> int:
     cert = nest.certificate_from_json(args.cert.read_text(encoding="utf-8"))
-    # a bound is certified only from a certificate that passes verification
-    verification = nest.verify_certificate(cert)
-    if not verification.passed:
-        _emit(_render(verification, args.format), args.out)
-        return 1
-    result = bounds.littlewood_lower_bound(
-        cert, args.level, args.proxy, zero_error=args.zero_error
-    )
-    _emit(_render(result.report, args.format), args.out)
+    with _int_text_unlimited():
+        # a bound is certified only from a certificate that passes verification
+        verification = nest.verify_certificate(cert)
+        if not verification.passed:
+            _emit(_render(verification, args.format), args.out)
+            return 1
+        result = bounds.littlewood_lower_bound(
+            cert, args.level, args.proxy, zero_error=args.zero_error
+        )
+        _emit(_render(result.report, args.format), args.out)
     return 0 if result.report.passed else 1
 
 

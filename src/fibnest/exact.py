@@ -38,10 +38,20 @@ class UnitInterval:
     hi: Rat
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not (0 <= self.lo <= self.hi <= 1):
-            raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        # 0 <= lo <= hi <= 1, decided on integers (denominators are positive)
+        if not (
+            lo.numerator >= 0
+            and lo.numerator * hi.denominator <= hi.numerator * lo.denominator
+            and hi.numerator <= hi.denominator
+        ):
+            raise ValueError(f"need 0 <= lo <= hi <= 1, got [{lo}, {hi}]")
 
     @property
     def length(self) -> Rat:
@@ -55,22 +65,13 @@ class UnitInterval:
 FULL_INTERVAL = UnitInterval(Fraction(0), Fraction(1))
 
 
-def trim(interval: UnitInterval, keep_fraction: RatLike, anchor: str) -> UnitInterval:
-    """Shrink an interval to keep_fraction of its length.
-
-    anchor='left' keeps the left end fixed; anchor='middle' keeps the
-    midpoint fixed. keep_fraction must lie in (0, 1].
-    """
+def trim(interval: UnitInterval, keep_fraction: RatLike) -> UnitInterval:
+    """Shrink an interval to keep_fraction of its length, keeping its left
+    end fixed. keep_fraction must lie in (0, 1]."""
     keep = Fraction(keep_fraction)
     if not 0 < keep <= 1:
         raise ValueError(f"keep_fraction must be in (0, 1], got {keep}")
-    span = interval.length * keep
-    if anchor == "left":
-        return UnitInterval(interval.lo, interval.lo + span)
-    if anchor == "middle":
-        pad = (interval.length - span) / 2
-        return UnitInterval(interval.lo + pad, interval.hi - pad)
-    raise ValueError(f"anchor must be 'left' or 'middle', got {anchor!r}")
+    return UnitInterval(interval.lo, interval.lo + interval.length * keep)
 
 
 # ---- rendering ----

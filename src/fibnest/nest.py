@@ -16,6 +16,7 @@ same stages and the same serialized bytes.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,8 +141,8 @@ def build(
             raise ValueError(
                 f"schedule {schedule.name!r} is not strictly decreasing at nu={nu + 1}"
             )
-        target_i = trim(cur.I, Fraction(1, 2), "left")
-        target_j = trim(cur.J, Fraction(1, 2), "left")
+        target_i = trim(cur.I, Fraction(1, 2))
+        target_j = trim(cur.J, Fraction(1, 2))
 
         # smallest n whose trimmed target is wide enough for an integer
         # position; F_n >= 2 F_prev^2 / delta_prev also makes the new window
@@ -188,38 +189,80 @@ def approximants(cert: Certificate, level: int) -> tuple[Rat, Rat, Rat]:
     return st.alpha, st.beta, st.delta / fib(st.n) ** 2
 
 
-def verify_certificate(cert: Certificate) -> ReportBundle:
-    """Re-check every recorded condition of every stage exactly."""
-    import math
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-    items = []
-    seed = cert.stages[0]
-    items.append(
+# verify_certificate's helpers: a pair (num, den) with den > 0 is an
+# unnormalised rational
+
+
+def _sub(x: Rat, y: Rat) -> tuple[int, int]:
+    """x - y by cross-multiplication, left unnormalised."""
+    return x.numerator * y.denominator - y.numerator * x.denominator, x.denominator * y.denominator
+
+
+def _min(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    return v if v[0] * u[1] < u[0] * v[1] else u
+
+
+def _abs_max(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    u, v = (abs(u[0]), u[1]), (abs(v[0]), v[1])
+    return v if v[0] * u[1] > u[0] * v[1] else u
+
+
+def _window_sum(lo: Rat, hi: Rat, point: Rat, width: Rat) -> Rat:
+    """(lo - point) + (hi - point - width), the left side of the window
+    checks, over the lcm of the four denominators and normalised once."""
+    den = math.lcm(lo.denominator, hi.denominator, point.denominator, width.denominator)
+    return Fraction(
+        lo.numerator * (den // lo.denominator)
+        + hi.numerator * (den // hi.denominator)
+        - 2 * point.numerator * (den // point.denominator)
+        - width.numerator * (den // width.denominator),
+        den,
+    )
+
+
+def verify_certificate(cert: Certificate) -> ReportBundle:
+    """Re-check every recorded condition of every stage exactly.
+
+    Every check is recomputed from the stage values alone, each of which
+    certificate_from_json parsed once. Each exact side is formed from
+    integer numerators and denominators and normalised once, instead of
+    through a chain of normalising Fraction operations: differences by
+    cross-multiplication, the window sums over the lcm of their four
+    denominators."""
+    stages = cert.stages
+    seed = stages[0]
+    items = [
         equality_report(
             "seed-windows",
             (seed.I.lo + (1 - seed.I.hi)) + (seed.J.lo + (1 - seed.J.hi)),
-            Fraction(0),
+            _ZERO,
             notes="I_0 = J_0 = [0, 1]",
-        )
-    )
-    items.append(equality_report("seed-delta", seed.delta, Fraction(1)))
+        ),
+        equality_report("seed-delta", seed.delta, _ONE),
+    ]
 
-    for prev, st in zip(cert.stages, cert.stages[1:]):
+    # widths[nu] = delta_nu / F_n^2, the window length of stage nu and the
+    # radius that localises every deeper stage
+    widths = [_ONE]
+    for prev, st in zip(stages, stages[1:]):
         tag = f"stage{st.nu}"
         fn = fib(st.n)
         items.append(
             bound_report(
                 f"{tag}-n-increasing",
                 Fraction(st.n - prev.n - 1),
-                Fraction(0),
+                _ZERO,
                 notes=f"n_{st.nu} = {st.n} > n_{prev.nu} = {prev.n}",
             )
         )
         items.append(
             bound_report(
                 f"{tag}-delta-decreasing",
-                prev.delta - st.delta,
-                Fraction(0),
+                Fraction(*_sub(prev.delta, st.delta)),
+                _ZERO,
                 strict=True,
                 notes=f"delta_{st.nu} < delta_{prev.nu}",
             )
@@ -228,7 +271,7 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
             bound_report(
                 f"{tag}-a-range",
                 Fraction(min(st.a - 1, fn - 1 - st.a)),
-                Fraction(0),
+                _ZERO,
                 witness=st.a,
                 notes=f"1 <= a < F_{st.n} = {fn}",
             )
@@ -236,7 +279,7 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
         items.append(
             bound_report(
                 f"{tag}-coprime",
-                Fraction(1),
+                _ONE,
                 Fraction(math.gcd(st.a, fn)),
                 witness=st.a,
             )
@@ -249,53 +292,55 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
                 Fraction((fib(st.n - 1) * st.a) % fn, fn),
             )
         )
-        width = st.delta / fn**2
+        width = Fraction(st.delta.numerator, st.delta.denominator * fn**2)
+        widths.append(width)
         items.append(
             equality_report(
                 f"{tag}-window-I",
-                (st.I.lo - st.alpha) + (st.I.hi - st.alpha - width),
-                Fraction(0),
+                _window_sum(st.I.lo, st.I.hi, st.alpha, width),
+                _ZERO,
                 notes="I = [alpha, alpha + delta/F_n^2]",
             )
         )
         items.append(
             equality_report(
                 f"{tag}-window-J",
-                (st.J.lo - st.beta) + (st.J.hi - st.beta - width),
-                Fraction(0),
+                _window_sum(st.J.lo, st.J.hi, st.beta, width),
+                _ZERO,
                 notes="J = [beta, beta + delta/F_n^2]",
             )
         )
         items.append(
             bound_report(
                 f"{tag}-nest-I",
-                min(st.I.lo - prev.I.lo, prev.I.hi - st.I.hi),
-                Fraction(0),
+                Fraction(*_min(_sub(st.I.lo, prev.I.lo), _sub(prev.I.hi, st.I.hi))),
+                _ZERO,
                 notes=f"I_{st.nu} inside I_{prev.nu}",
             )
         )
         items.append(
             bound_report(
                 f"{tag}-nest-J",
-                min(st.J.lo - prev.J.lo, prev.J.hi - st.J.hi),
-                Fraction(0),
+                Fraction(*_min(_sub(st.J.lo, prev.J.lo), _sub(prev.J.hi, st.J.hi))),
+                _ZERO,
                 notes=f"J_{st.nu} inside J_{prev.nu}",
             )
         )
 
     # two-sided localization between every pair of levels: the deeper
     # stage point approximates within delta_mu / F_{n_mu}^2
-    for mu in range(1, len(cert.stages)):
-        shallow = cert.stages[mu]
-        radius = shallow.delta / fib(shallow.n) ** 2
-        for nu in range(mu + 1, len(cert.stages)):
-            deep = cert.stages[nu]
-            drift = max(abs(deep.alpha - shallow.alpha), abs(deep.beta - shallow.beta))
+    for mu in range(1, len(stages)):
+        shallow, radius = stages[mu], widths[mu]
+        for nu in range(mu + 1, len(stages)):
+            deep = stages[nu]
+            drift = Fraction(
+                *_abs_max(_sub(deep.alpha, shallow.alpha), _sub(deep.beta, shallow.beta))
+            )
             items.append(
                 bound_report(
                     f"localize-{mu}-{nu}",
-                    radius - drift,
-                    Fraction(0),
+                    Fraction(*_sub(radius, drift)),
+                    _ZERO,
                     notes=(
                         f"max drift {rat_str(drift)} within "
                         f"delta_{mu}/F_{shallow.n}^2"
@@ -331,7 +376,18 @@ def _check_keys(obj, keys: tuple[str, ...], field: str) -> None:
         raise ValueError(f"{field} must be an object with exactly the keys {', '.join(keys)}")
 
 
-_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+_RAT = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
+
+
+def _rational(value, name: str) -> Rat:
+    """Parse the reduced 'p/q' string rat_str writes: no sign on zero, no
+    leading zeros, gcd(p, q) = 1. Each string is matched and converted once."""
+    match = _RAT.fullmatch(value) if isinstance(value, str) else None
+    if match:
+        p, q = int(match[1]), int(match[2])
+        if math.gcd(p, q) == 1:
+            return Fraction(p, q)
+    raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
 
 
 def _stage_from_dict(d: dict, field: str) -> Stage:
@@ -344,17 +400,11 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
             raise ValueError(f"{field}.{key} must be a JSON integer, got {d[key]!r}")
         return d[key]
 
-    def rational(value, name: str) -> Rat:
-        canonical = isinstance(value, str) and _RAT.fullmatch(value)
-        if not canonical or rat_str(Fraction(value)) != value:
-            raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
-        return Fraction(value)
-
     def window(key: str) -> UnitInterval:
         ends = d[key]
         if not (isinstance(ends, list) and len(ends) == 2):
             raise ValueError(f"{field}.{key} must be a list of two 'p/q' strings, got {ends!r}")
-        return UnitInterval(*(rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends)))
+        return UnitInterval(*(_rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends)))
 
     if not (isinstance(d["a"], str) and re.fullmatch("[0-9]+", d["a"])):
         raise ValueError(f"{field}.a must be a string of decimal digits, got {d['a']!r}")
@@ -362,9 +412,9 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
         nu=integer("nu"),
         n=integer("n"),
         a=int(d["a"]),
-        delta=rational(d["delta"], f"{field}.delta"),
-        alpha=rational(d["alpha"], f"{field}.alpha"),
-        beta=rational(d["beta"], f"{field}.beta"),
+        delta=_rational(d["delta"], f"{field}.delta"),
+        alpha=_rational(d["alpha"], f"{field}.alpha"),
+        beta=_rational(d["beta"], f"{field}.beta"),
         I=window("I"),
         J=window("J"),
     )
@@ -381,8 +431,10 @@ def certificate_to_json(cert: Certificate) -> str:
 
 def certificate_from_json(text: str) -> Certificate:
     """Parse a certificate, checking its shape and the type of every stage
-    value; ValueError names the bad field. Whether the values form a valid
-    certificate is left to verify_certificate."""
+    value; ValueError names the bad field. Each value is parsed once: a
+    rational is one regex match, two int() calls, one gcd and one Fraction.
+    Whether the values form a valid certificate is left to
+    verify_certificate."""
     payload = json.loads(text)
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
     if payload["schedule"] not in SCHEDULES:

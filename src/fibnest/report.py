@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exact import DECIMAL_DIGITS, Rat, UnitInterval, rat_decimal, rat_str
@@ -30,13 +31,20 @@ def _side_sub(lhs: Side, rhs: Side) -> Side:
 def _side_nonneg(x: Side) -> bool:
     if isinstance(x, Quad):
         return x.sign() >= 0
-    return x >= 0
+    return x.numerator >= 0  # a Fraction's denominator is positive
 
 
 def _side_pos(x: Side) -> bool:
     if isinstance(x, Quad):
         return x.sign() > 0
-    return x > 0
+    return x.numerator > 0
+
+
+_ZERO = Fraction(0)
+
+
+def _is_zero(x: Side) -> bool:
+    return type(x) is Fraction and x.numerator == 0
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,7 @@ def bound_report(
     rhs_label: Optional[str] = None,
     strict: bool = False,
 ) -> BoundReport:
-    slack = _side_sub(lhs, rhs)
+    slack = lhs if _is_zero(rhs) else _side_sub(lhs, rhs)
     passed = _side_pos(slack) if strict else _side_nonneg(slack)
     return BoundReport(
         name=name,
@@ -83,13 +91,14 @@ def equality_report(
     name: str, lhs: Rat, rhs: Rat, *, witness: Witness = None, notes: str = ""
 ) -> BoundReport:
     """Equality encoded as slack = -|lhs - rhs|, so pass <=> lhs == rhs."""
-    slack = -abs(lhs - rhs)
+    passed = lhs == rhs
+    slack = _ZERO if passed else -abs(lhs if _is_zero(rhs) else lhs - rhs)
     return BoundReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        passed=(slack == 0),
+        passed=passed,
         witness=witness,
         notes=notes,
     )

@@ -145,6 +145,49 @@ def test_verify_cert_missing_file(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+
+
+def _int_text_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return None if get_limit is None else get_limit()
+
+
+@pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
+def test_huge_corrupted_index_fails_checks(tmp_path, capsys, command):
+    # F_20600 has more digits than the default int<->str limit of 4300; the
+    # corruption must be reported as failed checks (exit 1), not exit 2
+    payload = json.loads((FIXTURES / "pow2-5.json").read_text())
+    payload["stages"][1]["n"] = 20600
+    path = tmp_path / "huge-n.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    if command == "verify-cert":
+        argv = ["verify-cert", "--in", str(path)]
+    else:
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "2"]
+    limit = _int_text_limit()
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr == ""
+    assert stdout.startswith("FAIL  certificate[pow2, depth=4]  [48 checks]\n")
+    assert "  FAIL  stage1-alpha-def  " in stdout
+    assert "  FAIL  stage2-n-increasing  " in stdout
+    assert _int_text_limit() == limit
+
+
+@pytest.mark.skipif(not _int_text_limit(), reason="no int<->str limit in force")
+def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
+    # parsing keeps the interpreter's limit as its guard
+    payload = json.loads(certificate_to_json(cert1))
+    payload["stages"][1]["alpha"] = "1" * 5000 + "/3"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, stderr = run(capsys, "verify-cert", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith(f"error: Exceeds the limit ({_int_text_limit()} digits)")
+
+
 def test_min_scan_pass(capsys):
     code, stdout, _ = run(capsys, "min-scan", "--n", "7", "--a", "1")
     assert code == 0

@@ -78,40 +78,34 @@ def test_interval_validation(lo, hi):
 
 
 def test_trim_known():
-    assert trim(FULL_INTERVAL, Fraction(1, 3), "middle") == UnitInterval(Fraction(1, 3), Fraction(2, 3))
-    assert trim(FULL_INTERVAL, Fraction(1, 3), "left") == UnitInterval(Fraction(0), Fraction(1, 3))
+    assert trim(FULL_INTERVAL, Fraction(1, 3)) == UnitInterval(Fraction(0), Fraction(1, 3))
     iv = UnitInterval(Fraction(2, 5), Fraction(21, 50))
-    assert trim(iv, Fraction(1, 2), "left") == UnitInterval(Fraction(2, 5), Fraction(41, 100))
+    assert trim(iv, Fraction(1, 2)) == UnitInterval(Fraction(2, 5), Fraction(41, 100))
 
 
 def test_trim_keep_one_is_identity():
     iv = UnitInterval(Fraction(1, 8), Fraction(5, 8))
-    assert trim(iv, Fraction(1), "left") == iv
-    assert trim(iv, Fraction(1), "middle") == iv
+    assert trim(iv, Fraction(1)) == iv
 
 
 def test_trim_validation():
     with pytest.raises(ValueError):
-        trim(FULL_INTERVAL, Fraction(0), "left")
+        trim(FULL_INTERVAL, Fraction(0))
     with pytest.raises(ValueError):
-        trim(FULL_INTERVAL, Fraction(3, 2), "left")
-    with pytest.raises(ValueError):
-        trim(FULL_INTERVAL, Fraction(1, 2), "right")
+        trim(FULL_INTERVAL, Fraction(3, 2))
 
 
 @given(
     st.fractions(min_value=Fraction(0), max_value=Fraction(1, 2)),
     st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 2)),
     st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1)),
-    st.sampled_from(["left", "middle"]),
 )
-def test_trim_contained_and_scaled(lo, length, keep, anchor):
+def test_trim_contained_and_scaled(lo, length, keep):
     iv = UnitInterval(lo, lo + length)
-    out = trim(iv, keep, anchor)
+    out = trim(iv, keep)
     assert iv.lo <= out.lo and out.hi <= iv.hi
     assert out.length == keep * iv.length
-    if anchor == "left":
-        assert out.lo == iv.lo
+    assert out.lo == iv.lo
 
 
 @given(rationals)

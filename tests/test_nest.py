@@ -1,18 +1,22 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fibnest.exact import UnitInterval
+from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.nest import (
     SCHEDULES,
     Certificate,
     DepthUnreachable,
+    _rational,
     approximants,
     build,
     certificate_from_json,
@@ -21,6 +25,7 @@ from fibnest.nest import (
     seed_stage,
     verify_certificate,
 )
+from fibnest.report import BoundReport, ReportBundle, bundle_to_text, flatten, to_csv, to_json
 
 
 def test_seed_stage_shape():
@@ -221,7 +226,173 @@ def test_verify_rejects_every_single_field_corruption(cert3, nu, field, shift, t
     assume(corrupted != stage)
     stages = cert3.stages[:nu] + (corrupted,) + cert3.stages[nu + 1:]
     cert = Certificate(schedule=cert3.schedule, policy=cert3.policy, stages=stages)
-    assert not verify_certificate(cert).passed
+    assert not assert_matches_oracle(cert).passed
+
+
+# ---- the Fraction-chain verifier, kept as the oracle of verify_certificate ----
+
+
+def fraction_bound_report(name, lhs, rhs, *, witness=None, notes="", strict=False):
+    slack = lhs - rhs
+    return BoundReport(
+        name=name, lhs=lhs, rhs=rhs, slack=slack, passed=slack > 0 if strict else slack >= 0,
+        witness=witness, notes=notes, strict=strict,
+    )
+
+
+def fraction_equality_report(name, lhs, rhs, *, notes=""):
+    slack = -abs(lhs - rhs)
+    return BoundReport(name=name, lhs=lhs, rhs=rhs, slack=slack, passed=slack == 0, notes=notes)
+
+
+def fraction_verify_certificate(cert: Certificate) -> ReportBundle:
+    """verify_certificate as a chain of normalising Fraction operations."""
+    items = []
+    seed = cert.stages[0]
+    items.append(
+        fraction_equality_report(
+            "seed-windows",
+            (seed.I.lo + (1 - seed.I.hi)) + (seed.J.lo + (1 - seed.J.hi)),
+            Fraction(0),
+            notes="I_0 = J_0 = [0, 1]",
+        )
+    )
+    items.append(fraction_equality_report("seed-delta", seed.delta, Fraction(1)))
+    for prev, stage in zip(cert.stages, cert.stages[1:]):
+        tag = f"stage{stage.nu}"
+        fn = fib(stage.n)
+        items.append(
+            fraction_bound_report(
+                f"{tag}-n-increasing",
+                Fraction(stage.n - prev.n - 1),
+                Fraction(0),
+                notes=f"n_{stage.nu} = {stage.n} > n_{prev.nu} = {prev.n}",
+            )
+        )
+        items.append(
+            fraction_bound_report(
+                f"{tag}-delta-decreasing",
+                prev.delta - stage.delta,
+                Fraction(0),
+                strict=True,
+                notes=f"delta_{stage.nu} < delta_{prev.nu}",
+            )
+        )
+        items.append(
+            fraction_bound_report(
+                f"{tag}-a-range",
+                Fraction(min(stage.a - 1, fn - 1 - stage.a)),
+                Fraction(0),
+                witness=stage.a,
+                notes=f"1 <= a < F_{stage.n} = {fn}",
+            )
+        )
+        items.append(
+            fraction_bound_report(f"{tag}-coprime", Fraction(1), Fraction(math.gcd(stage.a, fn)), witness=stage.a)
+        )
+        items.append(fraction_equality_report(f"{tag}-alpha-def", stage.alpha, Fraction(stage.a, fn)))
+        items.append(
+            fraction_equality_report(f"{tag}-beta-def", stage.beta, Fraction((fib(stage.n - 1) * stage.a) % fn, fn))
+        )
+        width = stage.delta / fn**2
+        items.append(
+            fraction_equality_report(
+                f"{tag}-window-I",
+                (stage.I.lo - stage.alpha) + (stage.I.hi - stage.alpha - width),
+                Fraction(0),
+                notes="I = [alpha, alpha + delta/F_n^2]",
+            )
+        )
+        items.append(
+            fraction_equality_report(
+                f"{tag}-window-J",
+                (stage.J.lo - stage.beta) + (stage.J.hi - stage.beta - width),
+                Fraction(0),
+                notes="J = [beta, beta + delta/F_n^2]",
+            )
+        )
+        items.append(
+            fraction_bound_report(
+                f"{tag}-nest-I",
+                min(stage.I.lo - prev.I.lo, prev.I.hi - stage.I.hi),
+                Fraction(0),
+                notes=f"I_{stage.nu} inside I_{prev.nu}",
+            )
+        )
+        items.append(
+            fraction_bound_report(
+                f"{tag}-nest-J",
+                min(stage.J.lo - prev.J.lo, prev.J.hi - stage.J.hi),
+                Fraction(0),
+                notes=f"J_{stage.nu} inside J_{prev.nu}",
+            )
+        )
+    for mu in range(1, len(cert.stages)):
+        shallow = cert.stages[mu]
+        radius = shallow.delta / fib(shallow.n) ** 2
+        for nu in range(mu + 1, len(cert.stages)):
+            deep = cert.stages[nu]
+            drift = max(abs(deep.alpha - shallow.alpha), abs(deep.beta - shallow.beta))
+            items.append(
+                fraction_bound_report(
+                    f"localize-{mu}-{nu}",
+                    radius - drift,
+                    Fraction(0),
+                    notes=f"max drift {rat_str(drift)} within delta_{mu}/F_{shallow.n}^2",
+                )
+            )
+    return ReportBundle(name=f"certificate[{cert.schedule}, depth={cert.depth}]", items=tuple(items))
+
+
+def renders(bundle: ReportBundle) -> tuple[str, str, str]:
+    return to_json(bundle), to_csv(flatten(bundle)), bundle_to_text(bundle)
+
+
+def assert_matches_oracle(cert: Certificate) -> ReportBundle:
+    fast, oracle = verify_certificate(cert), fraction_verify_certificate(cert)
+    assert fast == oracle
+    assert renders(fast) == renders(oracle)
+    return fast
+
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+FIXTURE_NAMES = ("pow2-5", "inv-5", "pow2-6", "pow2-8")
+
+
+def corrupt_payload(payload: dict, stage: int, field: str, step: int) -> dict:
+    """One field of one stage shifted as the benchmark shifts it: n and a by
+    one, delta by a quarter of itself, alpha, beta and the window endpoints
+    by a quarter of the stage's window width."""
+    payload = json.loads(json.dumps(payload))
+    values = payload["stages"][stage]
+    width = Fraction(values["delta"]) / fib(values["n"]) ** 2
+    if field == "n":
+        values["n"] += step
+    elif field == "a":
+        values["a"] = str(int(values["a"]) + step)
+    elif field == "delta":
+        values["delta"] = rat_str(Fraction(values["delta"]) * (1 + Fraction(step, 4)))
+    elif field in ("alpha", "beta"):
+        values[field] = rat_str(Fraction(values[field]) + step * width / 4)
+    else:
+        window, end = field.split(".")
+        i = ("lo", "hi").index(end)
+        values[window][i] = rat_str(Fraction(values[window][i]) + step * width / 4)
+    return payload
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_matches_fraction_oracle_on_fixture_corruptions(name):
+    text = (FIXTURE_DIR / f"{name}.json").read_text()
+    assert assert_matches_oracle(certificate_from_json(text)).passed
+    payload = json.loads(text)
+    rejected = 0
+    for stage in range(1, 5):
+        for field in FIELDS:
+            for step in (1, -1):
+                cert = certificate_from_json(json.dumps(corrupt_payload(payload, stage, field, step)))
+                rejected += not assert_matches_oracle(cert).passed
+    assert rejected == 4 * len(FIELDS) * 2
 
 
 def test_verify_catches_shrunk_delta_violation(cert1):
@@ -262,6 +433,61 @@ def test_certificate_from_json_rejects_garbage_rational(cert1):
         payload["stages"][1]["I"][0] = garbage
         with pytest.raises(ValueError):
             certificate_from_json(json.dumps(payload))
+
+
+_FRACTION_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
+
+
+def fraction_rational(value, name):
+    """The rational parser as a regex, two Fraction(str) parses and a
+    rat_str round trip, kept as the oracle of nest._rational."""
+    canonical = isinstance(value, str) and _FRACTION_RAT.fullmatch(value)
+    if not canonical or rat_str(Fraction(value)) != value:
+        raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
+    return Fraction(value)
+
+
+def parse_outcome(parse, value):
+    try:
+        result = parse(value, "stages[1].alpha")
+    except ValueError as exc:
+        return "error", str(exc)
+    assert type(result) is Fraction
+    return "ok", result
+
+
+# strings over digits, '-' and '/'; 'p/q' shapes with signs and leading
+# zeros; and integer pairs, reduced or not
+rational_texts = st.one_of(
+    st.text(alphabet="0123456789-/", max_size=12),
+    st.from_regex(r"-{0,2}0{0,2}[0-9]{0,6}/0{0,2}[0-9]{0,6}", fullmatch=True),
+    st.builds("{}/{}".format, st.integers(-(10**6), 10**6), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=300)
+@given(rational_texts)
+@example("0/1")
+@example("-0/1")
+@example("0/5")
+@example("2/4")
+@example("007/1")
+@example("1/0")
+@example("1/2/3")
+@example("-3/4")
+@example("")
+@example(" 1/2")
+@example("+1/2")
+@example("1")
+@example(5)
+@example(None)
+@example(0.5)
+@example(["1/2"])
+@example("1" * 5000 + "/3")
+@example("-" + "1" * 5000 + "/3")
+@example("1/" + "3" * 5000)
+def test_rational_matches_fraction_oracle(value):
+    assert parse_outcome(_rational, value) == parse_outcome(fraction_rational, value)
 
 
 def _set(path, value):
