@@ -14,14 +14,16 @@ scores at least (1/2 - Q(Q-1) err)/Q, so the candidate minimum is exact
 when it lies strictly below that; otherwise the bound is refused with
 ProxyTooShallow instead of falling back to a scan.
 
-No function scans pairs any more: check_nonconvergent_gap walks out from
-the nearest numerator of each denominator instead of visiting every y/x.
-The one scan that remains, star_discrepancy, runs in Python integers over
-at most SCAN_CAP points.
+No function scans: check_nonconvergent_gap walks out from the nearest
+numerator of each denominator instead of visiting every y/x, and
+star_discrepancy induces the rotation onto shorter arcs, n - 2 integer
+rounds whatever the point count. SCAN_CAP is kept only as the input limit
+on that count, with its message and exit code.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -314,28 +316,64 @@ def littlewood_lower_bound(
 # ---- star discrepancy ----
 
 
-def _sorted_star_discrepancy(nums: Sequence[int], den: int) -> Rat:
-    """Exact star discrepancy of the points nums[i]/den, nums sorted, by
-    the sorted-points formula
-        D*_N = max_i max(x_(i) - (i-1)/N, i/N - x_(i)),
-    scaled by N * den to stay in integers."""
-    count = len(nums)
-    worst = 0
-    for i, r in enumerate(nums, start=1):
-        worst = max(worst, r * count - (i - 1) * den, i * den - r * count)
-    return Fraction(worst, count * den)
-
-
 def star_discrepancy_of_points(points: Sequence[Rat]) -> Rat:
-    """Exact star discrepancy of a finite point set in [0, 1]."""
+    """Exact star discrepancy of a finite point set in [0, 1], by the
+    sorted-points formula
+        D*_N = max_i max(x_(i) - (i-1)/N, i/N - x_(i)),
+    scaled by N times the common denominator to stay in integers."""
     if not points:
         raise ValueError("empty point set")
     pts = sorted(Fraction(p) for p in points)
     if pts[0] < 0 or pts[-1] > 1:
         raise ValueError("points must lie in [0, 1]")
     den = math.lcm(*(p.denominator for p in pts))
-    nums = [p.numerator * (den // p.denominator) for p in pts]
-    return _sorted_star_discrepancy(nums, den)
+    count = len(pts)
+    worst = 0
+    for i, p in enumerate(pts, start=1):
+        r = p.numerator * (den // p.denominator)
+        worst = max(worst, r * count - (i - 1) * den, i * den - r * count)
+    return Fraction(worst, count * den)
+
+
+Letter = tuple[int, int, int]  # (sum, max prefix sum, min prefix sum)
+
+
+def _then(u: Letter, v: Letter) -> Letter:
+    """The letter of reading u, then v."""
+    return (u[0] + v[0], max(u[1], u[0] + v[1]), min(u[2], u[0] + v[2]))
+
+
+def _orbit_word(m: int, a: int, arcs: list[tuple[int, Letter]]) -> Letter:
+    """The product of the letters read along 0, a, 2a, ..., (m-1)a in Z_m,
+    gcd(a, m) = 1, where arcs lists (start, letter) with starts increasing
+    from 0 and each letter holding up to the next start (the last up to m).
+
+    Each round induces the rotation on [0, d), d = max(a, c), c = m - a:
+    a point y in [d - a, c) steps out to y + a and returns at the next
+    step, so it reads its letter and then the letter of y + a; every other
+    point returns at once. The induced map is the rotation by a (a < d)
+    or a - c (a = d) on Z_d, and the orbit of 0 keeps its order, so the
+    word is unchanged. Like subtractive Euclid this ends at m = 1, whose
+    single letter is the word.
+    """
+    while m > 1:
+        c = m - a
+        d = max(a, c)
+        lo, hi = d - a, c
+        starts = [s for s, _ in arcs]
+
+        def letter(y: int) -> Letter:
+            return arcs[bisect.bisect_right(starts, y) - 1][1]
+
+        # the new letters are constant between these cuts
+        shifted = (s - a for s in starts if lo < s - a < hi)
+        cuts = sorted({p for p in (0, lo, hi, *starts, *shifted) if p < d})
+        arcs = [
+            (p, _then(letter(p), letter(p + a)) if lo <= p < hi else letter(p))
+            for p in cuts
+        ]
+        m, a = d, (a if a < d else a - c)
+    return arcs[0][1]
 
 
 def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundReport:
@@ -346,7 +384,17 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     cap on it is checked against the rational snapshot cap * ln(count+1)
     rounded to 12 places (the snapshot is recorded in the notes; caps
     are measured constants with wide margins, not sharp thresholds).
-    The work is count points, so count, not F_n, is held to SCAN_CAP.
+
+    Nothing is scanned. Sorted by residue y = 0..F_n - 1, the points are
+    x = y a mod F_n with a = F_{n-1}^-1 = (-1)^n F_{n-1} (Cassini), an
+    orbit of the rotation by a. With N = count and F = F_n, walk y upward
+    adding N per residue and subtracting F at each point, before its N.
+    The walk ends at 0, and its largest and smallest partial sums are
+    max_i (r_i N - (i-1) F) and -max_i (i F - r_i N) of the sorted-points
+    formula, so N F D* = max(max, -min). The letter of x is +N on {0} and
+    [N+1, F), and -F then +N on [1, N]; _orbit_word multiplies them in
+    n - 2 rounds of integer work on at most 4 arcs, whatever count is.
+    SCAN_CAP is kept only as an input limit on count.
     """
     if n < 3:
         raise ValueError(f"star_discrepancy needs n >= 3, got {n}")
@@ -355,9 +403,11 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
     if count > SCAN_CAP:
         raise ScanCapExceeded(f"count = {count} exceeds scan cap {SCAN_CAP}")
-    step = fib(n - 1) % fn
-    residues = sorted((step * x) % fn for x in range(1, count + 1))
-    d_star = _sorted_star_discrepancy(residues, fn)
+    a = fib(n - 1) if n % 2 == 0 else fn - fib(n - 1)
+    plus = (count, count, count)
+    arcs = [(0, plus), (1, (count - fn, count - fn, -fn)), (count + 1, plus)]
+    _, high, low = _orbit_word(fn, a, arcs if count + 1 < fn else arcs[:2])
+    d_star = Fraction(max(high, -low), count * fn)
     scaled = count * d_star
     ratio = float(scaled) / math.log(count + 1)
     notes = (

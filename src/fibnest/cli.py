@@ -138,8 +138,10 @@ def _cmd_construct(args) -> int:
 def _int_text_unlimited():
     """Lift the interpreter's int<->str digit limit for the block.
 
-    The limit stays in force while a certificate is parsed, where it guards
-    against oversized input. A parsed certificate with a corrupted stage
+    Every command renders exact values whose digits grow with F_n, so each
+    runs with the limit lifted once argparse has read its integers. The
+    limit stays in force while a certificate is parsed, where it guards
+    against oversized input; a parsed certificate with a corrupted stage
     index can still make F_n longer than the limit, and its failed checks
     must be verified and rendered like any other. The limit API is missing
     before Python 3.10.7; there is no limit to lift there."""
@@ -217,6 +219,9 @@ def _cmd_discrepancy(args) -> int:
     return 0 if report.passed else 1
 
 
+# these lift the limit themselves, after parsing the certificate
+_PARSE_CERTIFICATE = ("verify-cert", "littlewood")
+
 _COMMANDS = {
     "construct": _cmd_construct,
     "verify-cert": _cmd_verify_cert,
@@ -232,8 +237,12 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args)
+        if args.command in _PARSE_CERTIFICATE:
+            return command(args)
+        with _int_text_unlimited():
+            return command(args)
     except (ValueError, OSError, KeyError, nest.DepthUnreachable) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR

@@ -1,11 +1,14 @@
+import bisect
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fibnest import bounds
 from fibnest.bounds import (
     PRIOR_BOUND,
     SCAN_CAP,
@@ -468,6 +471,89 @@ def test_star_discrepancy_validation():
     assert star_discrepancy(40, 100).lhs == 100 * star_discrepancy_of_points(points)
     with pytest.raises(ScanCapExceeded, match=f"count = {SCAN_CAP + 1} exceeds"):
         star_discrepancy(40, SCAN_CAP + 1)
+
+
+def scan_star_discrepancy(n, count):
+    """Reference oracle: count * D* by sorting the count residues and
+    walking them with the sorted-points formula, in integers."""
+    fn = fib(n)
+    residues = sorted(fib(n - 1) * x % fn for x in range(1, count + 1))
+    worst = 0
+    for i, r in enumerate(residues, start=1):
+        worst = max(worst, r * count - (i - 1) * fn, i * fn - r * count)
+    return Fraction(worst, fn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 25).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, fib(n) - 1))))
+def test_star_discrepancy_matches_scan(case):
+    n, count = case
+    assert star_discrepancy(n, count).lhs == scan_star_discrepancy(n, count)
+
+
+@pytest.mark.parametrize("n", range(3, 26))
+def test_star_discrepancy_matches_scan_at_edges(n):
+    fn = fib(n)
+    counts = {1, 2, fn - 2, fn - 1}
+    for k in range(2, n):
+        counts |= {fib(k) - 1, fib(k), fib(k) + 1}
+    for count in sorted(c for c in counts if 1 <= c < fn):
+        assert star_discrepancy(n, count).lhs == scan_star_discrepancy(n, count), count
+
+
+def test_star_discrepancy_matches_scan_large():
+    assert star_discrepancy(40, 200_000).lhs == scan_star_discrepancy(40, 200_000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_orbit_word_matches_walk(data):
+    # any coprime rotation and any letters: the induction must multiply
+    # the letters in orbit order
+    m = data.draw(st.integers(1, 60))
+    a = data.draw(st.integers(0, m - 1).filter(lambda a: math.gcd(a, m) == 1))
+    starts = sorted(data.draw(st.sets(st.integers(0, m - 1), max_size=5)) | {0})
+    letters = data.draw(
+        st.lists(st.tuples(*[st.integers(-9, 9)] * 3), min_size=len(starts), max_size=len(starts))
+    )
+    arcs = list(zip(starts, letters))
+
+    def letter(x):
+        return [v for s, v in arcs if s <= x][-1]
+
+    word = letter(0)
+    for k in range(1, m):
+        word = bounds._then(word, letter(k * a % m))
+    assert bounds._orbit_word(m, a, arcs) == word
+
+
+def test_star_discrepancy_rounds_and_arcs(monkeypatch):
+    # each round looks letters up in one fresh list of arc starts
+    rounds = []
+    real = bisect.bisect_right
+
+    def spy(starts, y):
+        if not rounds or rounds[-1] is not starts:
+            rounds.append(starts)
+        return real(starts, y)
+
+    monkeypatch.setattr(bounds.bisect, "bisect_right", spy)
+    for n, count in [(3, 1), (10, 7), (25, 20_000), (40, SCAN_CAP), (300, 12_345)]:
+        rounds.clear()
+        star_discrepancy(n, count)
+        assert len(rounds) == n - 2
+        assert max(len(starts) for starts in rounds) <= 4
+
+
+def test_star_discrepancy_allocates_nothing_per_point():
+    star_discrepancy(40, SCAN_CAP)  # warm the Fibonacci table
+    tracemalloc.start()
+    try:
+        star_discrepancy(40, SCAN_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # a list of SCAN_CAP residues alone is 8 MB
 
 
 # ---- limit table ----

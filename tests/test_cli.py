@@ -175,6 +175,20 @@ def test_huge_corrupted_index_fails_checks(tmp_path, capsys, command):
     assert _int_text_limit() == limit
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("q2", "--n", "20600", "--k", "5"), ("discrepancy", "--n", "20600", "--count", "100")],
+)
+def test_commands_render_past_int_text_limit(capsys, argv):
+    # F_20600 has more digits than the default int<->str limit of 4300
+    limit = _int_text_limit()
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 0
+    assert stderr == ""
+    assert stdout.startswith("PASS")
+    assert _int_text_limit() == limit
+
+
 @pytest.mark.skipif(not _int_text_limit(), reason="no int<->str limit in force")
 def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
     # parsing keeps the interpreter's limit as its guard
@@ -182,10 +196,14 @@ def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
     payload["stages"][1]["alpha"] = "1" * 5000 + "/3"
     path = tmp_path / "big.json"
     path.write_text(json.dumps(payload))
-    code, stdout, stderr = run(capsys, "verify-cert", "--in", str(path))
-    assert code == 2
-    assert stdout == ""
-    assert stderr.startswith(f"error: Exceeds the limit ({_int_text_limit()} digits)")
+    for argv in (
+        ["verify-cert", "--in", str(path)],
+        ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "1"],
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: Exceeds the limit ({_int_text_limit()} digits)")
 
 
 def test_min_scan_pass(capsys):
