@@ -248,19 +248,22 @@ def littlewood_lower_bound(
     cert: Certificate,
     level: int,
     proxy_level: int,
-    zero_error: bool = False,
 ) -> LittlewoodResult:
-    """Certified lower bound for Q * min over 1 <= x < Q of
+    """Lower bound for Q * min over 1 <= x < Q of
     dist(alpha x) dist(beta x), with Q = F_{n_level}.
 
-    The minimum is taken for the level stage's exact witness; the proxy
-    stage supplies the deviation radius err (its window width
-    delta/F_n^2), and each factor is lowered pointwise: dist(alpha x) >=
-    max(0, dist(alpha_level x) - x err) for any alpha within err of the
-    stage value. Deeper proxies shrink err, so the certified lhs is
-    non-decreasing in proxy_level. With zero_error=True the drift term is
-    dropped (err = 0) and proxy_level = level reproduces min_product
-    verbatim.
+    The minimum is taken for the level stage's own rational (alpha_level,
+    beta_level); the proxy stage supplies the deviation radius err (its
+    window width delta/F_n^2), and each factor is lowered pointwise:
+    dist(alpha x) >= max(0, dist(alpha_level x) - x err) for any alpha
+    within err of the stage value. Deeper proxies shrink err, so the lhs
+    is non-decreasing in proxy_level. The drift-free minimum is
+    min_product.
+
+    The bound does not yet cover the nested point: that point lies in the
+    level's window, up to delta_level/Q^2 from the stage rational, not
+    within err of it, and on perfbench/fixtures/pow2-5.json it scores
+    below the level-2 lhs. ROADMAP item 1 has the sound bound.
 
     The level stage must be a valid witness: n >= 3, 1 <= a < Q,
     gcd(a, Q) = 1, alpha = a/Q and beta = frac(F_{n-1} a/Q); otherwise
@@ -272,20 +275,20 @@ def littlewood_lower_bound(
     scaled by Q, is not strictly below that gap, no point can be ruled out
     without a scan, and ProxyTooShallow is raised instead; this covers
     every proxy with err (Q-1) >= 1/2. The refusal never happens at
-    err = 0.
+    err = 0, where the candidate minimum is exact: a proxy with delta = 0
+    passes verification, which asks only that delta decrease.
     """
     if not 1 <= level < len(cert.stages):
         raise ValueError(f"level must be in [1, {len(cert.stages) - 1}], got {level}")
-    low = level if zero_error else level + 1
-    if not low <= proxy_level < len(cert.stages):
+    if not level < proxy_level < len(cert.stages):
         raise ValueError(
-            f"proxy_level must be in [{low}, {len(cert.stages) - 1}], got {proxy_level}"
+            f"proxy_level must be in [{level + 1}, {len(cert.stages) - 1}], got {proxy_level}"
         )
     st = cert.stages[level]
     q = _check_witness(st.n, st.a)
     if st.alpha != Fraction(st.a, q) or st.beta != Fraction(fib(st.n - 1) * st.a % q, q):
         raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
-    err = Fraction(0) if zero_error else approximants(cert, proxy_level)[2]
+    err = approximants(cert, proxy_level)[2]
     best, best_x = _candidate_min(st.n, st.a, err)
     lhs = q * best
     gap = Fraction(1, 2) - q * (q - 1) * err

@@ -43,11 +43,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, default_format: str = "text") -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--format",
             choices=("text", "json", "csv"),
-            default=default_format,
+            default="text",
             help="report rendering (default %(default)s)",
         )
         p.add_argument("--out", type=Path, default=None, help="write output to a file")
@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit-table", help="scaled minima over a range of n")
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
-    add_common(p, default_format="csv")
+    # the table is always CSV
+    p.add_argument("--out", type=Path, default=None, help="write output to a file")
 
     p = sub.add_parser("q1", help="non-convergent approximation gap check")
     p.add_argument("--n", type=int, required=True)
@@ -87,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", type=Path, required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--proxy", type=int, required=True)
-    p.add_argument("--zero-error", action="store_true")
     add_common(p)
 
     p = sub.add_parser("discrepancy", help="exact star discrepancy of the rotation")
@@ -119,7 +119,7 @@ def _render(obj: Union[BoundReport, ReportBundle], fmt: str) -> str:
 def _cmd_construct(args) -> int:
     cert = nest.build(
         depth=args.depth,
-        schedule=nest.schedule_by_name(args.delta),
+        schedule=args.delta,
         n0=args.n0,
         strategy=args.strategy,
     )
@@ -206,9 +206,7 @@ def _cmd_littlewood(args) -> int:
         if not verification.passed:
             _emit(_render(verification, args.format), args.out)
             return 1
-        result = bounds.littlewood_lower_bound(
-            cert, args.level, args.proxy, zero_error=args.zero_error
-        )
+        result = bounds.littlewood_lower_bound(cert, args.level, args.proxy)
         _emit(_render(result.report, args.format), args.out)
     return 0 if result.report.passed else 1
 

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .exact import Rat, UnitInterval, rat_str, trim
 from .fib import fib, fib_index_at_least
@@ -51,31 +51,16 @@ class Stage:
     J: UnitInterval
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
-    """A named rule nu -> delta_nu with delta_0 = 1, strictly decreasing."""
-
-    name: str
-    rule: Callable[[int], Rat]
-
-    def delta(self, nu: int) -> Rat:
-        value = Fraction(self.rule(nu))
-        if value <= 0:
-            raise ValueError(f"delta_{nu} = {value} must be positive")
-        return value
-
-
-SCHEDULES: dict[str, DeltaSchedule] = {
-    "pow2": DeltaSchedule("pow2", lambda nu: Fraction(1, 2**nu)),
-    "inv": DeltaSchedule("inv", lambda nu: Fraction(1, nu + 1)),
+# delta schedules by the name a certificate records: nu -> delta_nu with
+# delta_0 = 1, positive and strictly decreasing
+SCHEDULES: dict[str, Callable[[int], Rat]] = {
+    "pow2": lambda nu: Fraction(1, 2**nu),
+    "inv": lambda nu: Fraction(1, nu + 1),
 }
 
-
-def schedule_by_name(name: str) -> DeltaSchedule:
-    try:
-        return SCHEDULES[name]
-    except KeyError:
-        raise ValueError(f"unknown delta schedule {name!r}") from None
+# how many indices past the first build tries for one stage before it
+# gives up with DepthUnreachable
+MAX_INDEX_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -115,32 +100,26 @@ def _ceil_rat(q: Rat) -> int:
 
 def build(
     depth: int,
-    schedule: Optional[DeltaSchedule] = None,
+    schedule: str = "pow2",
     n0: int = 5,
     strategy: str = "auto",
-    max_index_steps: int = 300,
 ) -> Certificate:
-    """Build a certificate with `depth` stages beyond the seed, searching
-    witnesses with the named strategy (see search.find_witness)."""
+    """Build a certificate with `depth` stages beyond the seed, under the
+    named delta schedule (see SCHEDULES), searching witnesses with the
+    named strategy (see search.find_witness)."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if n0 < 4:
         raise ValueError(f"n0 must be >= 4, got {n0}")
-    if schedule is None:
-        schedule = SCHEDULES["pow2"]
-    if schedule.delta(0) != 1:
-        raise ValueError(f"schedule {schedule.name!r} must start with delta_0 = 1")
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown delta schedule {schedule!r}")
 
     stages = [seed_stage()]
     for nu in range(depth):
         cur = stages[-1]
-        delta_next = schedule.delta(nu + 1)
-        if delta_next >= cur.delta:
-            raise ValueError(
-                f"schedule {schedule.name!r} is not strictly decreasing at nu={nu + 1}"
-            )
+        delta_next = SCHEDULES[schedule](nu + 1)
         target_i = trim(cur.I, Fraction(1, 2))
         target_j = trim(cur.J, Fraction(1, 2))
 
@@ -154,7 +133,7 @@ def build(
         first_tried = n_try
 
         while True:
-            if n_try - first_tried > max_index_steps:
+            if n_try - first_tried > MAX_INDEX_STEPS:
                 raise DepthUnreachable(nu + 1, n_try - 1)
             witness = find_witness(n_try, target_i, target_j, strategy)
             if witness is not None:
@@ -175,7 +154,7 @@ def build(
             )
         )
 
-    return Certificate(schedule=schedule.name, policy=strategy, stages=tuple(stages))
+    return Certificate(schedule=schedule, policy=strategy, stages=tuple(stages))
 
 
 def approximants(cert: Certificate, level: int) -> tuple[Rat, Rat, Rat]:

@@ -110,9 +110,9 @@ def test_criterion_6_certified_littlewood_bound(cert3):
     res = littlewood_lower_bound(cert3, 1, 3)
     assert res.report.lhs >= Fraction(37, 100)
     assert (Quad.of(res.report.lhs) - GOLDEN_INV_SQ).sign() > 0
-    ideal = littlewood_lower_bound(cert3, 1, 1, zero_error=True)
-    assert ideal.report.lhs == min_product(5, 2).scaled
-    print(f"criterion 6: PASS (lhs ~ {float(res.report.lhs):.6f} >= 0.37, zero-error exact)")
+    # the drift lowers the bound strictly below the stage's exact minimum
+    assert res.report.lhs < min_product(5, 2).scaled
+    print(f"criterion 6: PASS (lhs ~ {float(res.report.lhs):.6f} >= 0.37, below the exact 2/5)")
 
 
 def test_criterion_7_search_route_agreement():

@@ -29,7 +29,7 @@ from fibnest.bounds import (
 )
 from fibnest.exact import UnitInterval, dist_int
 from fibnest.fib import fib
-from fibnest.nest import Certificate, Stage, build, schedule_by_name, seed_stage
+from fibnest.nest import Certificate, Stage, build, seed_stage
 from fibnest.report import bound_report
 from fibnest.surd import GOLDEN_INV_SQ, Quad
 
@@ -267,16 +267,17 @@ def test_littlewood_deep_proxy(cert3):
 def test_littlewood_monotone_in_proxy(cert3):
     shallow = littlewood_lower_bound(cert3, 1, 2).report.lhs
     deep = littlewood_lower_bound(cert3, 1, 3).report.lhs
-    ideal = littlewood_lower_bound(cert3, 1, 1, zero_error=True).report.lhs
+    ideal = min_product(5, 2).scaled
     assert shallow == Fraction(611153748066852, 1527885025695605)
     assert shallow < deep < ideal
 
 
 def test_littlewood_zero_error_matches_scan(cert3):
-    res = littlewood_lower_bound(cert3, 1, 1, zero_error=True)
-    assert res.report.lhs == min_product(5, 2).scaled == Fraction(2, 5)
-    res = littlewood_lower_bound(cert3, 2, 2, zero_error=True)
-    assert res.report.lhs == min_product(19, 1675).scaled == Fraction(1597, 4181)
+    # the drift-free bound at a stage is min_product at its witness (n, a)
+    for level, exact in ((1, Fraction(2, 5)), (2, Fraction(1597, 4181))):
+        st = cert3.stages[level]
+        assert min_product(st.n, st.a).scaled == exact
+        assert littlewood_lower_bound(cert3, level, 3).report.lhs < exact
 
 
 def test_littlewood_level_two(cert3):
@@ -289,14 +290,13 @@ def test_littlewood_validation(cert3):
     with pytest.raises(ValueError):
         littlewood_lower_bound(cert3, 0, 2)
     with pytest.raises(ValueError):
-        littlewood_lower_bound(cert3, 1, 1)  # proxy must be deeper without zero_error
+        littlewood_lower_bound(cert3, 1, 1)  # the proxy must be deeper
     with pytest.raises(ValueError):
         littlewood_lower_bound(cert3, 1, 4)
     with pytest.raises(ValueError):
         littlewood_lower_bound(cert3, 3, 3)
     # F_82 points: no scan and no cap, the candidate minimum is exact
-    res = littlewood_lower_bound(cert3, 3, 3, zero_error=True)
-    assert res.report.lhs == min_product(82, cert3.stages[3].a).scaled
+    assert min_product(82, cert3.stages[3].a).scaled == Fraction(fib(80), fib(82))
 
 
 def test_littlewood_proxy_too_shallow(cert1):
@@ -321,17 +321,18 @@ def test_littlewood_proxy_too_shallow(cert1):
     with pytest.raises(ProxyTooShallow, match="137/450 is not below .* 3/10"):
         littlewood_lower_bound(synthetic_certificate(12, 1, Fraction(1, 5 * q * (q - 1))), 1, 2)
     # a level stage must be a witness: n = 2 is below the n >= 3 floor
+    deeper = Certificate(schedule="pow2", policy="auto", stages=shallow.stages + (fake,))
     with pytest.raises(ValueError, match="n >= 3"):
-        littlewood_lower_bound(shallow, 2, 2, zero_error=True)
+        littlewood_lower_bound(deeper, 2, 3)
 
 
 def test_littlewood_requires_stage_witness(cert1):
     st = cert1.stages[1]
     for field, value in (("alpha", st.alpha + Fraction(1, 100)), ("beta", st.beta / 2)):
         bad = dataclasses.replace(st, **{field: value})
-        cert = Certificate(schedule="pow2", policy="auto", stages=(cert1.stages[0], bad))
+        cert = Certificate(schedule="pow2", policy="auto", stages=(cert1.stages[0], bad, bad))
         with pytest.raises(ValueError, match="alpha and beta"):
-            littlewood_lower_bound(cert, 1, 1, zero_error=True)
+            littlewood_lower_bound(cert, 1, 2)
 
 
 def scan_littlewood(n, a, err):
@@ -395,16 +396,17 @@ def test_littlewood_matches_scan(n, seed, t):
 @pytest.mark.parametrize("schedule", ["pow2", "inv"])
 def test_littlewood_every_level(schedule):
     # Q * min_product(n, a) = F_{n-2}/F_n, above 2/(3+sqrt5) only for odd n
-    cert = build(depth=4, schedule=schedule_by_name(schedule))
-    for level in range(1, 5):
-        if level < 4:
-            res = littlewood_lower_bound(cert, level, level + 1)
-        else:
-            res = littlewood_lower_bound(cert, level, level, zero_error=True)
+    cert = build(depth=4, schedule=schedule)
+    for level in range(1, 4):
+        res = littlewood_lower_bound(cert, level, level + 1)
         n = cert.stages[level].n
         assert res.report.lhs <= Fraction(fib(n - 2), fib(n))
         assert res.report.passed == (n % 2 == 1)
-    assert res.report.lhs == Fraction(fib(n - 2), fib(n))
+    # the deepest level has no proxy: its exact minimum is checked directly
+    st = cert.stages[4]
+    report, rec = check_min_product_bound(st.n, st.a)
+    assert rec.scaled == Fraction(fib(st.n - 2), fib(st.n))
+    assert report.passed == (st.n % 2 == 1)
 
 
 # ---- star discrepancy ----

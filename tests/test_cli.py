@@ -132,7 +132,7 @@ def test_untyped_stage_value_is_usage_error(tmp_path, capsys, cert1, command, fi
     if command == "verify-cert":
         argv = ["verify-cert", "--in", str(path)]
     else:
-        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "1", "--zero-error"]
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "1"]
     code, stdout, stderr = run(capsys, *argv)
     assert code == 2
     assert stdout == ""
@@ -248,6 +248,14 @@ def test_limit_table_frozen(capsys):
     )
 
 
+def test_limit_table_has_no_format(capsys):
+    # the table is CSV only, so asking for another format is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["limit-table", "--n-from", "15", "--n-to", "16", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_limit_table_informational_exit(capsys):
     # rows below the threshold do not fail the table command
     code, stdout, _ = run(capsys, "limit-table", "--n-from", "16", "--n-to", "16")
@@ -290,18 +298,27 @@ def test_littlewood(tmp_path, capsys, cert3):
 
 
 def test_littlewood_zero_error(tmp_path, capsys, cert3):
-    path = tmp_path / "cert3.json"
-    path.write_text(certificate_to_json(cert3))
-    code, stdout, _ = run(
-        capsys,
-        "littlewood",
-        "--cert", str(path),
-        "--level", "1",
-        "--proxy", "1",
-        "--zero-error",
-    )
+    # the drift-free minimum at a stage is min-scan at its witness (n, a)
+    st = cert3.stages[1]
+    code, stdout, _ = run(capsys, "min-scan", "--n", str(st.n), "--a", str(st.a))
     assert code == 0
     assert "lhs=2/5" in stdout
+    path = tmp_path / "cert3.json"
+    path.write_text(certificate_to_json(cert3))
+    with pytest.raises(SystemExit) as exc:
+        main(["littlewood", "--cert", str(path), "--level", "1", "--proxy", "3", "--zero-error"])
+    assert exc.value.code == 2
+
+
+def test_littlewood_proxy_must_be_deeper(tmp_path, capsys, cert3):
+    path = tmp_path / "cert3.json"
+    path.write_text(certificate_to_json(cert3))
+    code, stdout, stderr = run(
+        capsys, "littlewood", "--cert", str(path), "--level", "1", "--proxy", "1"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: proxy_level must be in [2, 3], got 1\n"
 
 
 @pytest.mark.parametrize("schedule, code", [("pow2", 1), ("inv", 0)])
@@ -309,7 +326,7 @@ def test_littlewood_level_three(tmp_path, capsys, schedule, code):
     # level 3 is n = 82 (pow2) or n = 77 (inv): only an odd index can beat
     # the threshold
     path = tmp_path / "cert4.json"
-    cert = fibnest.build(depth=4, schedule=fibnest.schedule_by_name(schedule))
+    cert = fibnest.build(depth=4, schedule=schedule)
     path.write_text(certificate_to_json(cert))
     got, stdout, _ = run(capsys, "littlewood", "--cert", str(path), "--level", "3", "--proxy", "4")
     assert got == code

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fibnest import nest
 from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.nest import (
@@ -21,7 +22,6 @@ from fibnest.nest import (
     build,
     certificate_from_json,
     certificate_to_json,
-    schedule_by_name,
     seed_stage,
     verify_certificate,
 )
@@ -38,12 +38,21 @@ def test_seed_stage_shape():
 
 def test_schedules():
     pow2 = SCHEDULES["pow2"]
-    assert [pow2.delta(nu) for nu in range(4)] == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+    assert [pow2(nu) for nu in range(4)] == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
     inv = SCHEDULES["inv"]
-    assert [inv.delta(nu) for nu in range(4)] == [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
-    assert schedule_by_name("pow2") is pow2
-    with pytest.raises(ValueError):
-        schedule_by_name("geometric")
+    assert [inv(nu) for nu in range(4)] == [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]
+    with pytest.raises(ValueError, match="unknown delta schedule 'geometric'"):
+        build(depth=1, schedule="geometric")
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULES))
+def test_schedule_invariants(name):
+    # build trusts every schedule to start at 1 and to stay positive and
+    # strictly decreasing; the verifier re-checks the decrease per stage
+    deltas = [SCHEDULES[name](nu) for nu in range(66)]
+    assert all(type(d) is Fraction for d in deltas)
+    assert deltas[0] == 1
+    assert all(0 < deeper < d for d, deeper in zip(deltas, deltas[1:]))
 
 
 def test_build_depth_zero_is_seed_only():
@@ -97,7 +106,7 @@ def test_build_depth_three_frozen(cert3):
 )
 def test_build_depth_four_auto_bytes_frozen(schedule, digest):
     # digests of the certificates built by the linear-scan search
-    cert = build(depth=4, schedule=schedule_by_name(schedule), n0=5)
+    cert = build(depth=4, schedule=schedule, n0=5)
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
@@ -111,7 +120,7 @@ def test_build_depth_four_exhaustive_brute():
 
 
 def test_build_inv_schedule_reuses_witnesses():
-    cert = build(depth=2, schedule=schedule_by_name("inv"), n0=5)
+    cert = build(depth=2, schedule="inv", n0=5)
     st = cert.stages[2]
     # same witness search, different window scale
     assert (st.n, st.a) == (19, 1675)
@@ -129,9 +138,10 @@ def test_build_validation():
         build(depth=0, strategy="magic")
 
 
-def test_build_depth_unreachable():
+def test_build_depth_unreachable(monkeypatch):
+    monkeypatch.setattr(nest, "MAX_INDEX_STEPS", 3)
     with pytest.raises(DepthUnreachable) as exc:
-        build(depth=2, n0=5, max_index_steps=3)
+        build(depth=2, n0=5)
     assert exc.value.nu == 2
     assert exc.value.last_n == 15
 
