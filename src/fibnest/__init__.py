@@ -18,7 +18,7 @@ from .bounds import (
     star_discrepancy_of_points,
 )
 from .exact import Rat, UnitInterval, dist_int, frac, rat_decimal, rat_str, trim
-from .fib import fib, fib_index_at_least, golden_convergent
+from .fib import fib, fib_index_at_least, golden_convergent, witness_point
 from .nest import (
     Certificate,
     DepthUnreachable,
@@ -40,7 +40,7 @@ from .search import (
     select_kstar,
     verify_witness,
 )
-from .surd import GOLDEN, GOLDEN_INV_SQ, GOLDEN_SQ, SQRT5, Quad
+from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "Certificate",
     "DepthUnreachable",
     "ErrorBudget",
-    "GOLDEN",
     "GOLDEN_INV_SQ",
     "GOLDEN_SQ",
     "LemmaWitness",
@@ -59,7 +58,6 @@ __all__ = [
     "Quad",
     "Rat",
     "ReportBundle",
-    "SQRT5",
     "ScanCapExceeded",
     "Stage",
     "TwoScaleExhausted",
@@ -92,4 +90,5 @@ __all__ = [
     "trim",
     "verify_certificate",
     "verify_witness",
+    "witness_point",
 ]

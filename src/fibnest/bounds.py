@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import Rat, rat_decimal, rat_str
-from .fib import fib, golden_convergent
+from .fib import fib, golden_convergent, witness_point
 from .nest import Certificate, approximants
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
@@ -230,7 +230,7 @@ def convergent_gap(n: int, k: int) -> ReportBundle:
     bound = bound_report(
         f"convergent-gap-bound[n={n}, k={k}]",
         gap,
-        GOLDEN_INV_SQ / fk2,
+        Quad(GOLDEN_INV_SQ.a / fk2, GOLDEN_INV_SQ.b / fk2),
         rhs_label=f"1/(F_{k}^2*(golden+1))",
         notes=_implied_epsilon(gap * fk2),
     )
@@ -286,7 +286,7 @@ def littlewood_lower_bound(
         )
     st = cert.stages[level]
     q = _check_witness(st.n, st.a)
-    if st.alpha != Fraction(st.a, q) or st.beta != Fraction(fib(st.n - 1) * st.a % q, q):
+    if (st.alpha, st.beta) != witness_point(st.n, st.a):
         raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
     err = approximants(cert, proxy_level)[2]
     best, best_x = _candidate_min(st.n, st.a, err)

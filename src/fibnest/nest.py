@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import Rat, UnitInterval, rat_str, trim
-from .fib import fib, fib_index_at_least
+from .fib import fib, fib_index_at_least, witness_point
 from .report import (
     ReportBundle,
     bound_report,
@@ -263,14 +263,9 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
                 witness=st.a,
             )
         )
-        items.append(equality_report(f"{tag}-alpha-def", st.alpha, Fraction(st.a, fn)))
-        items.append(
-            equality_report(
-                f"{tag}-beta-def",
-                st.beta,
-                Fraction((fib(st.n - 1) * st.a) % fn, fn),
-            )
-        )
+        alpha, beta = witness_point(st.n, st.a)
+        items.append(equality_report(f"{tag}-alpha-def", st.alpha, alpha))
+        items.append(equality_report(f"{tag}-beta-def", st.beta, beta))
         width = Fraction(st.delta.numerator, st.delta.denominator * fn**2)
         widths.append(width)
         items.append(
@@ -414,9 +409,12 @@ def certificate_from_json(text: str) -> Certificate:
     rational is one regex match, two int() calls, one gcd and one Fraction.
     Whether the values form a valid certificate is left to
     verify_certificate."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("certificate: JSON nested too deeply") from None
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
-    if payload["schedule"] not in SCHEDULES:
+    if not isinstance(payload["schedule"], str) or payload["schedule"] not in SCHEDULES:
         raise ValueError(f"schedule: unknown delta schedule {payload['schedule']!r}")
     if payload["policy"] not in STRATEGIES:
         raise ValueError(f"policy: unknown strategy {payload['policy']!r}")

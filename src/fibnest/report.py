@@ -22,9 +22,9 @@ Side = Union[Rat, Quad]
 Witness = Union[int, tuple[int, ...], None]
 
 
-def _side_sub(lhs: Side, rhs: Side) -> Side:
-    if isinstance(lhs, Quad) or isinstance(rhs, Quad):
-        return Quad.of(lhs) - Quad.of(rhs)
+def _side_sub(lhs: Rat, rhs: Side) -> Side:
+    if isinstance(rhs, Quad):
+        return Quad.of(lhs) - rhs
     return lhs - rhs
 
 
@@ -87,9 +87,7 @@ def bound_report(
     )
 
 
-def equality_report(
-    name: str, lhs: Rat, rhs: Rat, *, witness: Witness = None, notes: str = ""
-) -> BoundReport:
+def equality_report(name: str, lhs: Rat, rhs: Rat, *, notes: str = "") -> BoundReport:
     """Equality encoded as slack = -|lhs - rhs|, so pass <=> lhs == rhs."""
     passed = lhs == rhs
     slack = _ZERO if passed else -abs(lhs if _is_zero(rhs) else lhs - rhs)
@@ -99,7 +97,6 @@ def equality_report(
         rhs=rhs,
         slack=slack,
         passed=passed,
-        witness=witness,
         notes=notes,
     )
 
@@ -144,16 +141,14 @@ def _witness_json(w: Witness):
 
 def report_to_dict(rep: BoundReport) -> dict:
     out: dict = {"name": rep.name, "lhs": rat_str(rep.lhs)}
-    if isinstance(rep.rhs, Quad) and not rep.rhs.is_rational:
+    if isinstance(rep.rhs, Quad):
         out["rhs_surd"] = rep.rhs_label or str(rep.rhs)
     else:
-        rhs = rep.rhs.a if isinstance(rep.rhs, Quad) else rep.rhs
-        out["rhs"] = rat_str(rhs)
-    if isinstance(rep.slack, Quad) and not rep.slack.is_rational:
+        out["rhs"] = rat_str(rep.rhs)
+    if isinstance(rep.slack, Quad):
         out["slack_decimal"] = rep.slack.decimal(DECIMAL_DIGITS)
     else:
-        slack = rep.slack.a if isinstance(rep.slack, Quad) else rep.slack
-        out["slack"] = rat_str(slack)
+        out["slack"] = rat_str(rep.slack)
     out["pass"] = rep.passed
     out["witness"] = _witness_json(rep.witness)
     out["decimal"] = rat_decimal(rep.lhs, DECIMAL_DIGITS)
@@ -211,10 +206,8 @@ def to_csv(reports: Sequence[BoundReport]) -> str:
 
 
 def _side_text(x: Side, label: Optional[str] = None) -> str:
-    if isinstance(x, Quad) and not x.is_rational:
-        return label or str(x)
     if isinstance(x, Quad):
-        return rat_str(x.a)
+        return label or str(x)
     return rat_str(x)
 
 

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rat, UnitInterval, frac
-from .fib import fib
+from .exact import Rat, UnitInterval
+from .fib import fib, witness_point
 from .report import ReportBundle, bound_report, equality_report, membership_report
 
 STRATEGIES = ("auto", "brute", "two_scale")
@@ -86,14 +86,8 @@ def candidate_count(n: int, region: UnitInterval) -> int:
 
 
 def _make_witness(n: int, a: int, strategy: str) -> LemmaWitness:
-    fn = fib(n)
-    return LemmaWitness(
-        n=n,
-        a=a,
-        alpha_n=Fraction(a, fn),
-        beta_n=Fraction((fib(n - 1) * a) % fn, fn),
-        strategy_used=strategy,
-    )
+    alpha, beta = witness_point(n, a)
+    return LemmaWitness(n=n, a=a, alpha_n=alpha, beta_n=beta, strategy_used=strategy)
 
 
 def _first_multiple_in_window(s: int, m: int, lo: int, hi: int) -> int | None:
@@ -257,8 +251,7 @@ def find_witness(
 def verify_witness(w: LemmaWitness, I: UnitInterval, J: UnitInterval) -> ReportBundle:
     """Re-derive both coordinates from (n, a) and check every condition."""
     fn = fib(w.n)
-    alpha = Fraction(w.a, fn)
-    beta = frac(Fraction(fib(w.n - 1) * w.a, fn))
+    alpha, beta = witness_point(w.n, w.a)
     items = (
         bound_report(
             "a-range",

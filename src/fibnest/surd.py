@@ -1,9 +1,13 @@
-"""Exact arithmetic and ordering in Q(sqrt5).
+"""Exact threshold comparisons against golden-ratio constants in Q(sqrt5).
 
-All threshold comparisons against golden-ratio constants are decided by
-sign tests on integers (squaring out the radical), never by floating
-point. Decimal rendering uses isqrt bounds; ties cannot occur when the
-radical part is nonzero because sqrt5 is irrational.
+Quad holds a + b*sqrt(5) with rational a, b, and has only what the
+package forms with it: Quad.of lifts a rational, subtraction takes a
+rational minus a constant such as 2/(3+sqrt5), sign() decides the result,
+and __str__ and decimal() render it. Every decision is
+(Quad.of(r) - C).sign(), so no ordering is needed. sign() works on
+integers, squaring out the radical, never by floating point. Decimal
+rendering uses isqrt bounds; ties cannot occur when the radical part is
+nonzero because sqrt5 is irrational.
 """
 
 from __future__ import annotations
@@ -29,52 +33,15 @@ class Quad:
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
 
-    # ---- arithmetic ----
-
     @staticmethod
     def of(value: QuadLike) -> "Quad":
         if isinstance(value, Quad):
             return value
         return Quad(Fraction(value), Fraction(0))
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def __add__(self, other: QuadLike) -> "Quad":
-        o = Quad.of(other)
-        return Quad(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Quad":
-        return Quad(-self.a, -self.b)
-
     def __sub__(self, other: QuadLike) -> "Quad":
-        return self + (-Quad.of(other))
-
-    def __rsub__(self, other: QuadLike) -> "Quad":
-        return Quad.of(other) + (-self)
-
-    def __mul__(self, other: QuadLike) -> "Quad":
         o = Quad.of(other)
-        return Quad(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: QuadLike) -> "Quad":
-        o = Quad.of(other)
-        norm = o.a * o.a - 5 * o.b * o.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt5)")
-        conj = Quad(o.a, -o.b)
-        num = self * conj
-        return Quad(num.a / norm, num.b / norm)
-
-    def __rtruediv__(self, other: QuadLike) -> "Quad":
-        return Quad.of(other) / self
-
-    # ---- exact ordering ----
+        return Quad(self.a - o.a, self.b - o.b)
 
     def sign(self) -> int:
         a, b = self.a, self.b
@@ -92,35 +59,6 @@ class Quad:
         if a > 0:
             return 1 if d > 0 else -1
         return 1 if d < 0 else -1
-
-    def _cmp(self, other: QuadLike) -> int:
-        return (self - Quad.of(other)).sign()
-
-    def __lt__(self, other: QuadLike) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: QuadLike) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: QuadLike) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: QuadLike) -> bool:
-        return self._cmp(other) >= 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (Quad, Fraction, int)):
-            return self._cmp(other) == 0
-        return NotImplemented
-
-    def __hash__(self):
-        # rational Quads compare equal to Fractions, so they must hash alike
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(5.0)
 
     # ---- rendering ----
 
@@ -156,8 +94,6 @@ class Quad:
         return f"{sign}{whole}.{digits_part:0{digits}d}"
 
 
-SQRT5 = Quad(Fraction(0), Fraction(1))
-GOLDEN = Quad(Fraction(1, 2), Fraction(1, 2))  # (1 + sqrt5)/2
 GOLDEN_SQ = Quad(Fraction(3, 2), Fraction(1, 2))  # golden^2 = golden + 1
 GOLDEN_INV_SQ = Quad(Fraction(3, 2), Fraction(-1, 2))  # 1/golden^2 = 2/(3+sqrt5)
 

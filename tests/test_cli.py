@@ -86,7 +86,10 @@ def test_construct_brute_is_exhaustive(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
-@pytest.mark.parametrize("field, value", [("schedule", "bogus"), ("policy", "bogus"), ("stages", [])])
+@pytest.mark.parametrize(
+    "field, value",
+    [("schedule", "bogus"), ("policy", "bogus"), ("stages", []), ("schedule", []), ("schedule", {})],
+)
 def test_malformed_certificate_is_usage_error(tmp_path, capsys, cert1, command, field, value):
     payload = json.loads(certificate_to_json(cert1))
     payload[field] = value
@@ -137,6 +140,20 @@ def test_untyped_stage_value_is_usage_error(tmp_path, capsys, cert1, command, fi
     assert code == 2
     assert stdout == ""
     assert stderr.startswith(f"error: stages[1].{field}")
+
+
+@pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
+def test_deeply_nested_certificate_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    if command == "verify-cert":
+        argv = ["verify-cert", "--in", str(path)]
+    else:
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "2"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: certificate: JSON nested too deeply\n"
 
 
 def test_verify_cert_missing_file(tmp_path, capsys):
