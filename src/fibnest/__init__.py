@@ -18,7 +18,8 @@ from .bounds import (
     star_discrepancy_of_points,
 )
 from .exact import Rat, UnitInterval, dist_int, frac, rat_decimal, rat_str, trim
-from .fib import fib, fib_index_at_least, golden_convergent, witness_point
+from .fib import fib, fib_index_at_least, golden_convergent
+from .lattice import witness_point
 from .nest import (
     Certificate,
     DepthUnreachable,

@@ -2,23 +2,17 @@
 
 The central quantity is min_product: for coprime a, the exact minimum
 over x = 1..F_n - 1 of dist(a x / F_n) * dist(F_{n-1} a x / F_n), where
-dist is the distance to the nearest integer, found among the convergent
-denominators of F_{n-1}/F_n. Everything downstream compares such minima
-against the threshold 2/(3+sqrt5) = (3-sqrt5)/2 exactly.
+dist is the distance to the nearest integer. Everything downstream
+compares such minima against the threshold 2/(3+sqrt5) = (3-sqrt5)/2
+exactly. The geometry of the rotation that these use lives in lattice.
 
-min_product and littlewood_lower_bound share one primitive,
-_candidate_min: the clamped product (dist(alpha x) - x err)+ (dist(beta x)
-- x err)+ evaluated only at the 2(n - 2) convergent candidates. At err = 0
-Legendre's theorem makes that the exact minimum. For err > 0 every other x
-scores at least (1/2 - Q(Q-1) err)/Q, so the candidate minimum is exact
-when it lies strictly below that; otherwise the bound is refused with
-ProxyTooShallow instead of falling back to a scan.
-
-No function scans: check_nonconvergent_gap walks out from the nearest
-numerator of each denominator instead of visiting every y/x, and
-star_discrepancy induces the rotation onto shorter arcs, n - 2 integer
-rounds whatever the point count. SCAN_CAP is kept only as the input limit
-on that count, with its message and exit code.
+No function scans: min_product and littlewood_lower_bound evaluate only
+the 2(n - 2) convergent candidates (lattice.candidate_min),
+check_nonconvergent_gap walks out from the nearest numerator of each
+denominator instead of visiting every y/x, and star_discrepancy induces
+the rotation onto shorter arcs, n - 2 integer rounds whatever the point
+count. SCAN_CAP is kept only as the input limit on that count, with its
+message and exit code.
 """
 
 from __future__ import annotations
@@ -30,7 +24,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exact import Rat, rat_decimal, rat_str
-from .fib import fib, golden_convergent, witness_point
+from .fib import fib, golden_convergent
+from .lattice import candidate_min, cassini_inverse, witness_point
 from .nest import Certificate, approximants
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
@@ -82,57 +77,16 @@ def _check_witness(n: int, a: int) -> int:
     return fn
 
 
-def _candidate_min(n: int, a: int, err: Rat) -> tuple[Rat, int]:
-    """(value, x_min): the smallest (dist(a x/Q) - x err)+ (dist(b x/Q) -
-    x err)+, b = F_{n-1} a, over the candidates x = y a^-1 mod Q with y in
-    {F_k, Q - F_k : 2 <= k < n} and Q = F_n; ties go to the smallest x.
-
-    With y = a x mod Q the distances are near(y)/Q and near(F_{n-1} y)/Q,
-    and F_{n-1} F_k = +-F_{n-k} (mod Q) makes the second near(F_{n-k})/Q for
-    both y = F_k and y = Q - F_k. Writing err Q = e_num/e_den, each factor
-    is the integer (near(.) e_den - x e_num)+ over Q e_den, so the loop
-    compares integer products. x_k = F_k a^-1 follows the Fibonacci
-    recurrence mod Q.
-    """
-    q = fib(n)
-    e = err * q
-    e_num, e_den = e.numerator, e.denominator
-
-    def near(r: int) -> int:  # Q * dist(r / Q)
-        return min(r, q - r)
-
-    best: Optional[tuple[int, int]] = None
-    x_prev, x = 0, pow(a, -1, q)  # F_{k-1} a^-1, F_k a^-1 (mod Q) at k = 1
-    for k in range(2, n):
-        x_prev, x = x, (x + x_prev) % q
-        u1, u2 = near(fib(k)) * e_den, near(fib(n - k)) * e_den
-        for cand in (x, q - x):
-            drift = cand * e_num
-            units = max(0, u1 - drift) * max(0, u2 - drift)
-            if best is None or (units, cand) < best:
-                best = (units, cand)
-    assert best is not None
-    return Fraction(best[0], (q * e_den) ** 2), best[1]
-
-
 def min_product(n: int, a: int) -> MinRecord:
     """Exact minimum of the distance product over x = 1..F_n - 1.
 
     Requires n >= 3, 1 <= a < F_n and gcd(a, F_n) = 1. Ties break to the
-    smallest x.
-
-    No scan is needed. For a = 1 and x <= F_n/2, F_n * product equals
-    x^2 |theta - y/x| with theta = F_{n-1}/F_n. By Legendre's theorem that
-    is >= 1/2 unless y/x is a convergent F_{k-1}/F_k (a non-reduced multiple
-    scales it by g^2 >= 4), while x = 1 gives F_{n-2}/F_n < 1/2 for n >= 4.
-    With the symmetry x -> F_n - x, every minimizer lies in
-    {F_k, F_n - F_k : 2 <= k < n}, and both score dist(F_k) dist(F_{n-k})
-    since F_{n-1} F_k = +-F_{n-k} (mod F_n). For general a, x -> a x
-    permutes the nonzero residues: same minimum, minimizers y a^-1 mod F_n.
-    So the minimum is _candidate_min at err = 0.
+    smallest x. No scan is needed: by Legendre's theorem every minimizer is
+    a convergent candidate (see lattice), so the minimum is candidate_min
+    at err = 0.
     """
     fn = _check_witness(n, a)
-    value, x_min = _candidate_min(n, a, Fraction(0))
+    value, x_min = candidate_min(n, a, Fraction(0))
     return MinRecord(n=n, a=a, x_min=x_min, value=value, scaled=fn * value)
 
 
@@ -249,16 +203,13 @@ def littlewood_lower_bound(
     level: int,
     proxy_level: int,
 ) -> LittlewoodResult:
-    """Lower bound for Q * min over 1 <= x < Q of
-    dist(alpha x) dist(beta x), with Q = F_{n_level}.
-
-    The minimum is taken for the level stage's own rational (alpha_level,
-    beta_level); the proxy stage supplies the deviation radius err (its
+    """Lower bound for Q * min over 1 <= x < Q of dist(alpha x) dist(beta x),
+    Q = F_{n_level}, taken for the level stage's own rational (alpha_level,
+    beta_level). The proxy stage supplies the deviation radius err (its
     window width delta/F_n^2), and each factor is lowered pointwise:
     dist(alpha x) >= max(0, dist(alpha_level x) - x err) for any alpha
     within err of the stage value. Deeper proxies shrink err, so the lhs
-    is non-decreasing in proxy_level. The drift-free minimum is
-    min_product.
+    is non-decreasing in proxy_level; at err = 0 it is min_product.
 
     The bound does not yet cover the nested point: that point lies in the
     level's window, up to delta_level/Q^2 from the stage rational, not
@@ -266,17 +217,17 @@ def littlewood_lower_bound(
     below the level-2 lhs. ROADMAP item 1 has the sound bound.
 
     The level stage must be a valid witness: n >= 3, 1 <= a < Q,
-    gcd(a, Q) = 1, alpha = a/Q and beta = frac(F_{n-1} a/Q); otherwise
-    ValueError. The minimum is evaluated at the convergent candidates only
-    (_candidate_min). Every other x has Q dist(alpha_level x)
-    dist(beta_level x) >= 1/2 by Legendre, and since the two distances sum
-    to at most 1 the drift costs it at most (Q-1) err, so its scaled
-    clamped product is >= 1/2 - Q(Q-1) err. When the candidate minimum,
-    scaled by Q, is not strictly below that gap, no point can be ruled out
-    without a scan, and ProxyTooShallow is raised instead; this covers
-    every proxy with err (Q-1) >= 1/2. The refusal never happens at
-    err = 0, where the candidate minimum is exact: a proxy with delta = 0
-    passes verification, which asks only that delta decrease.
+    gcd(a, Q) = 1 and (alpha, beta) = witness_point(n, a); otherwise
+    ValueError. Only the convergent candidates are evaluated
+    (lattice.candidate_min). Every other x has Q dist(alpha_level x)
+    dist(beta_level x) >= 1/2, and since the two distances sum to at most
+    1 the drift costs it at most (Q-1) err, so its scaled clamped product
+    is >= 1/2 - Q(Q-1) err. When the scaled candidate minimum is not
+    strictly below that gap, no point can be ruled out without a scan,
+    and ProxyTooShallow is raised instead; this covers every proxy with
+    err (Q-1) >= 1/2. The refusal never happens at err = 0, where the
+    candidate minimum is exact: a proxy with delta = 0 passes
+    verification, which asks only that delta decrease.
     """
     if not 1 <= level < len(cert.stages):
         raise ValueError(f"level must be in [1, {len(cert.stages) - 1}], got {level}")
@@ -289,7 +240,7 @@ def littlewood_lower_bound(
     if (st.alpha, st.beta) != witness_point(st.n, st.a):
         raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
     err = approximants(cert, proxy_level)[2]
-    best, best_x = _candidate_min(st.n, st.a, err)
+    best, best_x = candidate_min(st.n, st.a, err)
     lhs = q * best
     gap = Fraction(1, 2) - q * (q - 1) * err
     if err and lhs >= gap:
@@ -389,7 +340,7 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     are measured constants with wide margins, not sharp thresholds).
 
     Nothing is scanned. Sorted by residue y = 0..F_n - 1, the points are
-    x = y a mod F_n with a = F_{n-1}^-1 = (-1)^n F_{n-1} (Cassini), an
+    x = y a mod F_n with a = F_{n-1}^-1 (lattice.cassini_inverse), an
     orbit of the rotation by a. With N = count and F = F_n, walk y upward
     adding N per residue and subtracting F at each point, before its N.
     The walk ends at 0, and its largest and smallest partial sums are
@@ -397,7 +348,6 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     formula, so N F D* = max(max, -min). The letter of x is +N on {0} and
     [N+1, F), and -F then +N on [1, N]; _orbit_word multiplies them in
     n - 2 rounds of integer work on at most 4 arcs, whatever count is.
-    SCAN_CAP is kept only as an input limit on count.
     """
     if n < 3:
         raise ValueError(f"star_discrepancy needs n >= 3, got {n}")
@@ -406,7 +356,7 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
     if count > SCAN_CAP:
         raise ScanCapExceeded(f"count = {count} exceeds scan cap {SCAN_CAP}")
-    a = fib(n - 1) if n % 2 == 0 else fn - fib(n - 1)
+    a = cassini_inverse(n)
     plus = (count, count, count)
     arcs = [(0, plus), (1, (count - fn, count - fn, -fn)), (count + 1, plus)]
     _, high, low = _orbit_word(fn, a, arcs if count + 1 < fn else arcs[:2])

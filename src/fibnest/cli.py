@@ -35,6 +35,19 @@ from .search import STRATEGIES
 USAGE_ERROR = 2
 
 
+def _cap(text: str) -> Fraction:
+    """--cap as a Fraction that star_discrepancy's float snapshot can hold.
+    A zero denominator is refused like a malformed value, and so is a value
+    of magnitude 2**1024 - 2**970 or more, on which float() overflows."""
+    try:
+        cap = Fraction(text)
+        if abs(cap) < 2**1024 - 2**970:
+            return cap
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 @functools.cache  # built once per process; parsing leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -93,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discrepancy", help="exact star discrepancy of the rotation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--cap", type=Fraction, default=None)
+    p.add_argument("--cap", type=_cap, default=None)
     add_common(p)
 
     return parser

@@ -36,9 +36,3 @@ def golden_convergent(n: int) -> Fraction:
     if n < 2:
         raise ValueError(f"convergent index must be >= 2, got {n}")
     return Fraction(fib(n - 1), fib(n))
-
-
-def witness_point(n: int, a: int) -> tuple[Fraction, Fraction]:
-    """The point (a/F_n, frac(F_{n-1} a/F_n)) that a witness (n, a) names."""
-    fn = fib(n)
-    return Fraction(a, fn), Fraction(fib(n - 1) * a % fn, fn)

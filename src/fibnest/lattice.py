@@ -1,0 +1,150 @@
+"""The golden rotation x -> F_{n-1} x mod F_n, whose lattice points
+(a, F_{n-1} a mod F_n)/F_n are the witnesses (n, a) (witness_point). The
+witness search, the product minimum and the star discrepancy are integer
+geometry of this lattice (three-distance theorem, Sos 1958); no other
+module knows the rotation.
+
+Step identity: F_{n-1} F_k = F_n F_{k-1} + (-1)^(k-1) F_{n-k} for
+1 <= k <= n, F_0 = 0. It holds at k = 1 and 2, and both sides follow the
+Fibonacci recurrence in k, as (-1)^(k-1) F_{n-k} + (-1)^(k-2) F_{n-k+1} =
+(-1)^k F_{n-k-1}. So, modulo F_n and for 1 <= k < n:
+
+* a step of F_k moves a residue by (-1)^(k-1) F_{n-k} (steps);
+* k = n - 1 is Cassini's identity F_{n-1}^2 = (-1)^n, so F_{n-1}^-1 =
+  (-1)^n F_{n-1} (cassini_inverse);
+* the product minimum lies among 2(n - 2) candidates (candidate_min). For
+  a = 1 and x <= F_n/2, F_n dist(x/F_n) dist(F_{n-1} x/F_n) equals
+  x^2 |F_{n-1}/F_n - y/x|, which by Legendre's theorem is >= 1/2 unless
+  y/x is a convergent F_{k-1}/F_k (a non-reduced multiple scales it by
+  g^2 >= 4), while x = 1 scores F_{n-2}/F_n < 1/2 for n >= 4. By the
+  symmetry x -> F_n - x every minimizer is F_k or F_n - F_k, 2 <= k < n,
+  and both score near(F_k) near(F_{n-k})/F_n. For general a, x -> a x
+  permutes the nonzero residues: the same minimum, at y a^-1 mod F_n.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Iterator, Optional
+
+from .exact import Rat, UnitInterval
+from .fib import fib
+
+
+def rotate(n: int, x: int) -> int:
+    """F_{n-1} x mod F_n, the residue of position x."""
+    return fib(n - 1) * x % fib(n)
+
+
+def witness_point(n: int, a: int) -> tuple[Fraction, Fraction]:
+    """The point (a/F_n, frac(F_{n-1} a/F_n)) that a witness (n, a) names."""
+    fn = fib(n)
+    return Fraction(a, fn), Fraction(rotate(n, a), fn)
+
+
+def steps(n: int) -> Iterator[tuple[int, int]]:
+    """(F_k, F_{n-1} F_k mod F_n) for k = 2, ..., n - 1, the residue by the
+    step identity: F_{n-k} for odd k, F_n - F_{n-k} for even k."""
+    fn = fib(n)
+    for k in range(2, n):
+        yield fib(k), fib(n - k) if k % 2 else fn - fib(n - k)
+
+
+def cassini_inverse(n: int) -> int:
+    """F_{n-1}^-1 mod F_n for n >= 3: F_{n-1} for even n, F_n - F_{n-1} for odd."""
+    return fib(n - 1) if n % 2 == 0 else fib(n) - fib(n - 1)
+
+
+def integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
+    """The integers k with k/F_n in span and 0 <= k < F_n, as (first, last)."""
+    fn = fib(n)
+    return math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1)
+
+
+def _first_multiple_in_window(s: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest x >= 0 with lo <= s*x mod m <= hi, or None if there is none.
+
+    Needs 0 <= lo <= hi < m and 0 <= s < m. If no multiple of s lies in
+    [lo, hi], write s*x = m*y + v with v in the window: the smallest y is
+    the smallest y >= 0 with (m mod s)*y mod s in [(-hi) mod s, (-lo) mod s],
+    the same question with (s, m) replaced by (m mod s, s), and then
+    x = ceil((m*y + lo) / s). The reduction runs Euclid's algorithm on
+    (m, s); Fibonacci moduli are its worst case, with depth about n, so the
+    frames live on an explicit stack rather than the call stack.
+    """
+    frames = []
+    while True:
+        if s == 0:
+            if lo != 0:
+                return None
+            x = 0
+            break
+        x = -(-lo // s)
+        if s * x <= hi:
+            break
+        frames.append((m, s, lo))
+        m, s, lo, hi = s, m % s, (-hi) % s, (-lo) % s
+    while frames:
+        m, s, lo = frames.pop()
+        x = -(-(m * x + lo) // s)
+    return x
+
+
+def _first_step_into_window(b: int, s: int, m: int, lo: int, hi: int) -> int | None:
+    """Smallest t >= 0 with lo <= (b + s*t) mod m <= hi, or None; needs
+    0 <= b < m and 0 <= lo <= hi < m. With b outside the window, shifting
+    the window by -b leaves it unwrapped: only b itself shifts to 0."""
+    if lo <= b <= hi:
+        return 0
+    return _first_multiple_in_window(s, m, (lo - b) % m, (hi - b) % m)
+
+
+def hits(n: int, I: UnitInterval, J: UnitInterval) -> Iterator[int]:
+    """The positions 1 <= a < F_n with a/F_n in I and (F_{n-1} a mod F_n)/F_n
+    in J, in increasing order; the first-hit solver jumps to each in
+    O(log F_n) steps, however far."""
+    fn = fib(n)
+    a_lo, a_hi = integer_range(n, I)
+    w_lo, w_hi = integer_range(n, J)
+    if w_lo > w_hi:
+        return
+    step = fib(n - 1) % fn
+    a = max(a_lo, 1)
+    while a <= a_hi:
+        t = _first_step_into_window((step * a) % fn, step, fn, w_lo, w_hi)
+        if t is None or a + t > a_hi:
+            return
+        yield a + t
+        a += t + 1
+
+
+def near(r: int, q: int) -> int:
+    """q * dist(r / q) for 0 <= r <= q."""
+    return min(r, q - r)
+
+
+def candidate_min(n: int, a: int, err: Rat) -> tuple[Rat, int]:
+    """(value, x_min): the smallest (dist(a x/Q) - x err)+ (dist(b x/Q) -
+    x err)+, b = F_{n-1} a, over the candidates x = y a^-1 mod Q with y in
+    {F_k, Q - F_k : 2 <= k < n}, Q = F_n, ties to the smallest x; at
+    err = 0 the exact minimum over 1 <= x < Q. The distances are near(y)/Q
+    and near(F_{n-1} y)/Q, the same for y = F_k and Q - F_k. With err Q =
+    e_num/e_den each factor is the integer (near(.) e_den - x e_num)+ over
+    Q e_den, so the loop compares integers; x_k = F_k a^-1 follows the
+    Fibonacci recurrence mod Q."""
+    q = fib(n)
+    e = err * q
+    e_num, e_den = e.numerator, e.denominator
+    best: Optional[tuple[int, int]] = None
+    x_prev, x = 0, pow(a, -1, q)  # F_{k-1} a^-1, F_k a^-1 (mod Q) at k = 1
+    for f_k, d in steps(n):
+        x_prev, x = x, (x + x_prev) % q
+        u1, u2 = near(f_k, q) * e_den, near(d, q) * e_den
+        for cand in (x, q - x):
+            drift = cand * e_num
+            units = max(0, u1 - drift) * max(0, u2 - drift)
+            if best is None or (units, cand) < best:
+                best = (units, cand)
+    assert best is not None
+    return Fraction(best[0], (q * e_den) ** 2), best[1]

@@ -23,7 +23,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .exact import Rat, UnitInterval, rat_str, trim
-from .fib import fib, fib_index_at_least, witness_point
+from .fib import fib, fib_index_at_least
+from .lattice import witness_point
 from .report import (
     ReportBundle,
     bound_report,

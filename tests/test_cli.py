@@ -381,6 +381,29 @@ def test_discrepancy_cap(capsys):
     assert code == 1
 
 
+# 2**1024 - 2**970 is the smallest rational that float() overflows on
+@pytest.mark.parametrize(
+    "cap",
+    ["1/0", "1e400", "-1e400", str(2**1024 - 2**970)],
+    ids=["1/0", "1e400", "-1e400", "overflow-bound"],
+)
+def test_discrepancy_cap_without_float_is_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["discrepancy", "--n", "25", "--count", "100", f"--cap={cap}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --cap: invalid Fraction value: '{cap}'" in captured.err
+
+
+def test_discrepancy_cap_largest_float(capsys):
+    # float() rounds this cap down to the largest double
+    code, _, _ = run(
+        capsys, "discrepancy", "--n", "25", "--count", "1", "--cap", str(2**1024 - 2**970 - 1)
+    )
+    assert code == 0
+
+
 def test_discrepancy_json(capsys):
     code, stdout, _ = run(
         capsys, "discrepancy", "--n", "25", "--count", "100", "--format", "json"

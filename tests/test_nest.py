@@ -97,16 +97,26 @@ def test_build_depth_three_frozen(cert3):
     assert [s.delta for s in cert3.stages] == [1, Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
 
 
+# (schedule, n0, SHA-256): the bytes of perfbench/fixtures/{schedule}-{n0}.json.
+# n0 = 6 and 8 (stages n = 7, 29, 119, 478 and 8, 30, 124, 506) take the
+# two-scale fallback past the crossover; n0 = 6 meets TwoScaleExhausted at
+# n = 117 on the way.
+FROZEN_DEPTH_FOUR = [
+    ("pow2", 5, "62c17330de831dfe85f229ddd96e5206b89bef50600ded3c846106cca5e03727"),
+    ("inv", 5, "59b2950cc5e913539e815a9f33c3a263ddc3a6f452006b9bfd5a5d549c0fb5ae"),
+    ("pow2", 6, "b4b1783a0b0bda4f83c60cf97121f49f1c0cec8dfeeed3efd958fb4d42aed4de"),
+    ("pow2", 8, "4615c8f31c1c6ed62fb983d527e21ac2ed48331bd7577f54fc0b2e3a16432647"),
+]
+
+
 @pytest.mark.parametrize(
-    "schedule, digest",
-    [
-        ("pow2", "62c17330de831dfe85f229ddd96e5206b89bef50600ded3c846106cca5e03727"),
-        ("inv", "59b2950cc5e913539e815a9f33c3a263ddc3a6f452006b9bfd5a5d549c0fb5ae"),
-    ],
+    "schedule, n0, digest",
+    FROZEN_DEPTH_FOUR,
+    # the n0 = 5 ids stay "{schedule}-{digest}", as they were without n0
+    ids=[f"{s}-{d}" if n0 == 5 else f"{s}-{n0}-{d}" for s, n0, d in FROZEN_DEPTH_FOUR],
 )
-def test_build_depth_four_auto_bytes_frozen(schedule, digest):
-    # digests of the certificates built by the linear-scan search
-    cert = build(depth=4, schedule=schedule, n0=5)
+def test_build_depth_four_auto_bytes_frozen(schedule, n0, digest):
+    cert = build(depth=4, schedule=schedule, n0=n0)
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
+from fibnest.lattice import _first_multiple_in_window, _first_step_into_window
 from fibnest.search import (
-    _first_multiple_in_window,
-    _first_step_into_window,
     LemmaWitness,
     TwoScaleExhausted,
     candidate_count,
