@@ -20,6 +20,11 @@ Fibonacci recurrence in k, as (-1)^(k-1) F_{n-k} + (-1)^(k-2) F_{n-k+1} =
   symmetry x -> F_n - x every minimizer is F_k or F_n - F_k, 2 <= k < n,
   and both score near(F_k) near(F_{n-k})/F_n. For general a, x -> a x
   permutes the nonzero residues: the same minimum, at y a^-1 mod F_n.
+
+Both witness searches ask first_hit for the first lattice point in a box,
+proved exact below, in O(log range) Euclid levels. That the greedy walk of
+Fibonacci steps that find_two_scale once used returns the same on every box
+whose position range is shorter than F_{n-1} is checked by tests, not proved.
 """
 
 from __future__ import annotations
@@ -62,61 +67,66 @@ def integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
     return math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1)
 
 
-def _first_multiple_in_window(s: int, m: int, lo: int, hi: int) -> int | None:
-    """Smallest x >= 0 with lo <= s*x mod m <= hi, or None if there is none.
+def _first_multiple_in_window(s: int, m: int, lo: int, hi: int, bound: int) -> int | None:
+    """Smallest x in [0, bound] with lo <= s*x mod m <= hi, or None.
 
     Needs 0 <= lo <= hi < m and 0 <= s < m. If no multiple of s lies in
     [lo, hi], write s*x = m*y + v with v in the window: the smallest y is
     the smallest y >= 0 with (m mod s)*y mod s in [(-hi) mod s, (-lo) mod s],
     the same question with (s, m) replaced by (m mod s, s), and then
-    x = ceil((m*y + lo) / s). The reduction runs Euclid's algorithm on
-    (m, s); Fibonacci moduli are its worst case, with depth about n, so the
-    frames live on an explicit stack rather than the call stack.
+    x = ceil((m*y + lo) / s). That x grows with y, so x <= bound exactly
+    when y <= (s*bound - lo) // m, the next level's bound; every level's
+    answer is at least ceil(lo/s), so a level where that exceeds its bound
+    is a miss. The bound shrinks by (m mod s)/m < 1/2 every two levels of
+    Euclid's algorithm on (m, s), so a call, hit or miss, runs O(log bound)
+    levels, at most about n for m = F_n; the frames live on an explicit stack.
     """
     frames = []
     while True:
         if s == 0:
-            if lo != 0:
+            if lo != 0 or bound < 0:
                 return None
             x = 0
             break
         x = -(-lo // s)
+        if x > bound:
+            return None
         if s * x <= hi:
             break
         frames.append((m, s, lo))
-        m, s, lo, hi = s, m % s, (-hi) % s, (-lo) % s
+        m, s, lo, hi, bound = s, m % s, (-hi) % s, (-lo) % s, (s * bound - lo) // m
     while frames:
         m, s, lo = frames.pop()
         x = -(-(m * x + lo) // s)
     return x
 
 
-def _first_step_into_window(b: int, s: int, m: int, lo: int, hi: int) -> int | None:
-    """Smallest t >= 0 with lo <= (b + s*t) mod m <= hi, or None; needs
-    0 <= b < m and 0 <= lo <= hi < m. With b outside the window, shifting
-    the window by -b leaves it unwrapped: only b itself shifts to 0."""
-    if lo <= b <= hi:
-        return 0
-    return _first_multiple_in_window(s, m, (lo - b) % m, (hi - b) % m)
+def first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int) -> int | None:
+    """The smallest a in [a_lo, a_hi] whose residue F_{n-1} a mod F_n lies in
+    [w_lo, w_hi], or None; needs 0 <= a_lo and w_hi < F_n. With the residue
+    b of a_lo outside the window, shifting the window by -b leaves it
+    unwrapped (only b itself shifts to 0), and the offset from a_lo is the
+    first multiple of the step in the shifted window, at most a_hi - a_lo."""
+    if a_lo > a_hi or w_lo > w_hi:
+        return None
+    fn = fib(n)
+    step = fib(n - 1) % fn
+    b = step * a_lo % fn
+    if w_lo <= b <= w_hi:
+        return a_lo
+    t = _first_multiple_in_window(step, fn, (w_lo - b) % fn, (w_hi - b) % fn, a_hi - a_lo)
+    return None if t is None else a_lo + t
 
 
 def hits(n: int, I: UnitInterval, J: UnitInterval) -> Iterator[int]:
     """The positions 1 <= a < F_n with a/F_n in I and (F_{n-1} a mod F_n)/F_n
-    in J, in increasing order; the first-hit solver jumps to each in
-    O(log F_n) steps, however far."""
-    fn = fib(n)
+    in J, in increasing order: one first_hit call each, however far apart."""
     a_lo, a_hi = integer_range(n, I)
     w_lo, w_hi = integer_range(n, J)
-    if w_lo > w_hi:
-        return
-    step = fib(n - 1) % fn
-    a = max(a_lo, 1)
-    while a <= a_hi:
-        t = _first_step_into_window((step * a) % fn, step, fn, w_lo, w_hi)
-        if t is None or a + t > a_hi:
-            return
-        yield a + t
-        a += t + 1
+    a = first_hit(n, max(a_lo, 1), a_hi, w_lo, w_hi)
+    while a is not None:
+        yield a
+        a = first_hit(n, a + 1, a_hi, w_lo, w_hi)
 
 
 def near(r: int, q: int) -> int:

@@ -367,8 +367,9 @@ def _rational(value, name: str) -> Rat:
 
 def _stage_from_dict(d: dict, field: str) -> Stage:
     """Parse one stage, requiring the types _stage_to_dict writes: JSON
-    integers nu and n, a decimal-digit string a, and reduced 'p/q' strings
-    for the rationals and the two endpoints of each window."""
+    integers nu and n >= 1, a decimal string a with no leading zero, and
+    reduced 'p/q' strings for the rationals and the two endpoints of each
+    window, which must satisfy 0 <= lo <= hi <= 1."""
 
     def integer(key: str) -> int:
         if type(d[key]) is not int:
@@ -379,13 +380,20 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
         ends = d[key]
         if not (isinstance(ends, list) and len(ends) == 2):
             raise ValueError(f"{field}.{key} must be a list of two 'p/q' strings, got {ends!r}")
-        return UnitInterval(*(_rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends)))
+        lo, hi = (_rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends))
+        try:
+            return UnitInterval(lo, hi)
+        except ValueError:
+            raise ValueError(f"{field}.{key} must satisfy 0 <= lo <= hi <= 1") from None
 
-    if not (isinstance(d["a"], str) and re.fullmatch("[0-9]+", d["a"])):
-        raise ValueError(f"{field}.a must be a string of decimal digits, got {d['a']!r}")
+    if not (isinstance(d["a"], str) and re.fullmatch("0|[1-9][0-9]*", d["a"])):
+        raise ValueError(f"{field}.a must be a decimal string with no leading zero, got {d['a']!r}")
+    nu, n = integer("nu"), integer("n")
+    if n < 1:
+        raise ValueError(f"{field}.n must be >= 1, got {n}")
     return Stage(
-        nu=integer("nu"),
-        n=integer("n"),
+        nu=nu,
+        n=n,
         a=int(d["a"]),
         delta=_rational(d["delta"], f"{field}.delta"),
         alpha=_rational(d["alpha"], f"{field}.alpha"),

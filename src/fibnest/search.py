@@ -2,9 +2,11 @@
 
 Given an index n and two target windows, find a with 1 <= a < F_n and
 gcd(a, F_n) = 1 whose witness point (lattice.witness_point) lies in I x J.
-find_witness takes the strategy by name: find_brute, exhaustive and exact
-at every index; find_two_scale, a greedy walk of Fibonacci steps whose
-result is re-verified exactly; or "auto", which picks by candidate count.
+Both strategies ask one exact solver, lattice.first_hit, for the first
+lattice point in a box. find_brute is that search, exhaustive at every
+index; find_two_scale is a policy on it: a smaller box, then a coprime
+repair, with its result re-verified exactly. find_witness takes the
+strategy by name, or "auto", which picks by candidate count.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .exact import Rat, UnitInterval
 from .fib import fib
-from .lattice import hits, integer_range, rotate, steps, witness_point
+from .lattice import first_hit, hits, integer_range, witness_point
 from .report import ReportBundle, bound_report, equality_report, membership_report
 
 STRATEGIES = ("auto", "brute", "two_scale")
@@ -82,15 +84,14 @@ def find_brute(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
 
 
 def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
-    """Two-scale search; None when the greedy stepping cannot land.
+    """Two-scale search; None when stage 1 finds no position or the result
+    fails the final exact check.
 
-    Stage 1 walks a from the bottom of the position range, correcting the
-    residue with steps F_k (k = 2, 3, ...) whenever the forward distance
-    to the window start admits the step without overshooting past the
-    window end. Stage 2 restores coprimality with a = a0 + j*F_{k*}; it
-    never moves a past the right end of I and raises TwoScaleExhausted
-    when no such j is left. Drift of the fractional part is caught by the
-    final exact verification.
+    Stage 1 takes the first position in the left half of I whose residue
+    lies in the middle third of J (lattice.first_hit). Stage 2 restores
+    coprimality with a = a0 + j*F_{k*}; it never moves a past the right end
+    of I and raises TwoScaleExhausted when no such j is left. Drift of the
+    fractional part is caught by the final exact verification.
     """
     if n < 4:
         raise ValueError(f"find_two_scale needs n >= 4, got {n}")
@@ -102,30 +103,10 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | N
     # stage 1: positions restricted to the left half of I, residues to the
     # middle third of J; a = 0 is admissible as a start, stage 2 fixes it up
     a_lo, a_hi = integer_range(n, UnitInterval(I.lo, I.lo + eta / 2))
-    if a_lo > a_hi:
-        return None
     third = UnitInterval(J.lo + eta / 3, J.lo + 2 * eta / 3)
-    w_lo, w_hi = integer_range(n, third)
-    if w_lo > w_hi:
+    a = first_hit(n, a_lo, a_hi, *integer_range(n, third))
+    if a is None:
         return None
-    width = w_hi - w_lo
-
-    a = a_lo
-    r = rotate(n, a)
-    ladder = steps(n)  # (F_k, the residue step of F_k) for k = 2, 3, ...
-    k, (f_k, d) = 2, next(ladder)
-    while not w_lo <= r <= w_hi:
-        if k > n - 2:
-            return None  # granularity exhausted
-        if a + f_k > a_hi:
-            return None  # all remaining steps are unaffordable
-        need = (w_lo - r) % fn
-        if 0 < d <= need + width:
-            a += f_k
-            r = (r + d) % fn
-        else:
-            k += 1
-            f_k, d = next(ladder)
 
     # stage 2: coprimality adjustment within the right half of I
     a0 = a

@@ -120,6 +120,23 @@ def test_build_depth_four_auto_bytes_frozen(schedule, n0, digest):
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
+# (strategy, schedule, SHA-256) at n0 = 5: the bytes of the strategies the
+# benchmark never builds. two_scale takes n = 7, 32, 131, 526 (pow2) and
+# 7, 32, 131, 525 (inv); brute 5, 19, 77, 313 and 5, 19, 77, 311.
+FROZEN_DEPTH_FOUR_STRATEGIES = [
+    ("two_scale", "pow2", "a1822eff6fe360233fb4b77a15f834bad015bca2eb4c6a106a8967ef5ce11aea"),
+    ("two_scale", "inv", "a85264ddd05011dff4a6e52c84eaf7f34b8825f392bf1c27b78eff16f063633d"),
+    ("brute", "pow2", "0400b22241fbf7608d81716c627f7aabd441fe7fc7bb51080b8327fad8f05407"),
+    ("brute", "inv", "9ef6fd839c41369c36a312bb11a73cf071c3a96e0891a957fb966de7fd63a88d"),
+]
+
+
+@pytest.mark.parametrize("strategy, schedule, digest", FROZEN_DEPTH_FOUR_STRATEGIES)
+def test_build_depth_four_strategy_bytes_frozen(strategy, schedule, digest):
+    cert = build(depth=4, n0=5, schedule=schedule, strategy=strategy)
+    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
+
+
 def test_build_depth_four_exhaustive_brute():
     # the exhaustive search finds stage 3 at n = 77, below the two_scale
     # fallback's n = 82 that auto takes past its crossover
@@ -551,11 +568,16 @@ def _drop_stage_key(key):
         (_set(["stages", 0, "n"], 2), r"stages\[0\]"),
         (_set(["stages", 0, "a"], "1"), r"stages\[0\]"),
         (_set(["stages", 0, "alpha"], "1/2"), r"stages\[0\]"),
+        (_set(["stages", 1, "n"], 0), r"stages\[1\]\.n"),
+        (_set(["stages", 1, "a"], "02"), r"stages\[1\]\.a"),
+        (_set(["stages", 1, "I"], ["21/50", "2/5"]), r"stages\[1\]\.I"),
+        (_set(["stages", 1, "J"], ["1/5", "3/2"]), r"stages\[1\]\.J"),
     ],
     ids=[
         "not-object", "missing-key", "extra-key", "schedule", "policy", "no-stages",
         "stages-not-list", "stage-not-object", "stage-missing-key", "stage-extra-key",
-        "nu", "seed-n", "seed-a", "seed-alpha",
+        "nu", "seed-n", "seed-a", "seed-alpha", "n-zero", "a-leading-zero", "window-swapped",
+        "window-outside",
     ],
 )
 def test_certificate_from_json_checks_schema(cert1, mutate, field):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
-from fibnest.lattice import _first_multiple_in_window, _first_step_into_window
+from fibnest.lattice import _first_multiple_in_window, first_hit, rotate, steps
 from fibnest.search import (
     LemmaWitness,
     TwoScaleExhausted,
@@ -38,10 +38,10 @@ def linear_find_brute(n: int, I: UnitInterval, J: UnitInterval):
     return None
 
 
-def linear_first_step(b: int, s: int, m: int, lo: int, hi: int):
+def linear_first_step(s: int, m: int, lo: int, hi: int):
     """Oracle: walk t = 0 .. m; the residues repeat with period dividing m."""
     for t in range(m + 1):
-        if lo <= (b + s * t) % m <= hi:
+        if lo <= s * t % m <= hi:
             return t
     return None
 
@@ -138,27 +138,111 @@ def step_problems(draw):
     m = draw(st.integers(min_value=1, max_value=5000))
     assume(m not in FIB_VALUES)
     s = draw(st.one_of(st.just(0), st.integers(min_value=0, max_value=m - 1)))
-    b = draw(st.integers(min_value=0, max_value=m - 1))
     lo = draw(st.integers(min_value=0, max_value=m - 1))
     hi = draw(st.one_of(st.just(lo), st.integers(min_value=lo, max_value=m - 1)))
-    return s, m, b, lo, hi
+    return s, m, lo, hi
 
 
 @settings(max_examples=400, deadline=None)
 @given(step_problems())
-# the walk from b must wrap past m before it reaches the window
-@example((7, 100, 95, 3, 5))
-@example((33, 100, 60, 10, 20))
+# the walk must wrap past m before it reaches the window
+@example((7, 100, 8, 10))
+@example((33, 100, 50, 60))
 # single-residue windows
-@example((37, 100, 0, 41, 41))
-@example((10, 100, 3, 41, 41))  # unreachable: every residue is 3 mod 10
-# s = 0: only b itself is ever visited
-@example((0, 100, 50, 50, 50))
-@example((0, 100, 49, 50, 60))
+@example((37, 100, 41, 41))
+@example((10, 100, 38, 38))  # unreachable: every residue is 0 mod 10
+# s = 0: only 0 itself is ever visited
+@example((0, 100, 0, 0))
+@example((0, 100, 1, 11))
 def test_first_step_matches_linear_walk(problem):
-    s, m, b, lo, hi = problem
-    assert _first_step_into_window(b, s, m, lo, hi) == linear_first_step(b, s, m, lo, hi)
-    assert _first_multiple_in_window(s, m, lo, hi) == linear_first_step(0, s, m, lo, hi)
+    s, m, lo, hi = problem
+    t = linear_first_step(s, m, lo, hi)
+    # bounds below the answer, at it, above it, and negative
+    for bound in {-1, 0, m} | (set() if t is None else {t - 1, t, t + 1}):
+        expect = t if t is not None and t <= bound else None
+        assert _first_multiple_in_window(s, m, lo, hi, bound) == expect, bound
+
+
+def greedy_first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int):
+    """Reference oracle: stage 1 of find_two_scale as it was before it called
+    first_hit, verbatim. It walks a up from a_lo, taking a step F_k
+    (k = 2, 3, ...) whenever its residue move lands no further than the
+    window end, and never takes F_{n-1}."""
+    if a_lo > a_hi:
+        return None
+    fn = fib(n)
+    if w_lo > w_hi:
+        return None
+    width = w_hi - w_lo
+
+    a = a_lo
+    r = rotate(n, a)
+    ladder = steps(n)  # (F_k, the residue step of F_k) for k = 2, 3, ...
+    k, (f_k, d) = 2, next(ladder)
+    while not w_lo <= r <= w_hi:
+        if k > n - 2:
+            return None  # granularity exhausted
+        if a + f_k > a_hi:
+            return None  # all remaining steps are unaffordable
+        need = (w_lo - r) % fn
+        if 0 < d <= need + width:
+            a += f_k
+            r = (r + d) % fn
+        else:
+            k += 1
+            f_k, d = next(ladder)
+    return a
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_first_hit_matches_greedy_and_scan_exhaustively(n):
+    # every window whose position range is shorter than F_{n-1}, as in
+    # find_two_scale, where it is the left half of I: at most F_n/2
+    fn, span = fib(n), fib(n - 1)
+    for a_lo in range(fn):
+        for w_lo in range(fn):
+            for w_hi in range(w_lo, fn):
+                scan = next(
+                    (a for a in range(a_lo, min(a_lo + span, fn)) if w_lo <= rotate(n, a) <= w_hi), None
+                )
+                for a_hi in range(a_lo, min(a_lo + span, fn)):
+                    expect = scan if scan is not None and scan <= a_hi else None
+                    assert first_hit(n, a_lo, a_hi, w_lo, w_hi) == expect
+                    assert greedy_first_hit(n, a_lo, a_hi, w_lo, w_hi) == expect
+
+
+@st.composite
+def two_scale_boxes(draw):
+    n = draw(st.integers(min_value=4, max_value=600))
+    fn = fib(n)
+    # spans of every scale: up to about F_k for a drawn k
+    a_lo = draw(st.integers(min_value=0, max_value=fn - 1))
+    span = draw(st.integers(min_value=0, max_value=fib(draw(st.integers(2, n - 1))) - 1))
+    width = draw(st.integers(min_value=0, max_value=fib(draw(st.integers(1, n))) - 1))
+    w_lo = draw(st.integers(min_value=0, max_value=fn - 1 - width))
+    return n, a_lo, min(a_lo + span, fn - 1), w_lo, w_lo + width
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_scale_boxes())
+def test_first_hit_matches_greedy_deep(box):
+    n, a_lo, a_hi, w_lo, w_hi = box
+    a = first_hit(n, a_lo, a_hi, w_lo, w_hi)
+    assert a == greedy_first_hit(n, a_lo, a_hi, w_lo, w_hi)
+    if a is not None:
+        assert a_lo <= a <= a_hi and w_lo <= rotate(n, a) <= w_hi
+        # nothing hits strictly below a
+        assert first_hit(n, a_lo, a - 1, w_lo, w_hi) is None
+
+
+def test_greedy_misses_single_residue_past_f_n_minus_1():
+    # the greedy never takes the step F_5 = 5, so at n = 6 it misses the
+    # first hit a = 5 of residue {1}; find_two_scale cannot ask this, as its
+    # position range is shorter than F_{n-1}
+    assert rotate(6, 5) == 1
+    assert greedy_first_hit(6, 0, 5, 1, 1) is None
+    assert first_hit(6, 0, 5, 1, 1) == 5
+    assert first_hit(6, 0, 4, 1, 1) is None
 
 
 # ---- find_brute against the linear oracle ----
@@ -244,7 +328,7 @@ def test_two_scale_empty_position_range():
 def test_two_scale_agrees_with_brute_on_thirds_windows():
     I = interval_at(Fraction(1, 3), Fraction(1, 100))
     J = interval_at(Fraction(2, 3), Fraction(1, 100))
-    # exhaustive scan found nothing here, so the guided search must not either
+    # exhaustive scan found nothing here, so the two-scale search must not either
     assert find_two_scale(20, I, J) is None
 
 
@@ -257,14 +341,14 @@ def test_two_scale_rejects_unequal_lengths():
 
 def _windows_starting_at(n: int, a0: int, eta: Fraction):
     """Windows that make a0 the first position candidate, with the residue
-    of a0 centred so the guided walk stops immediately."""
+    of a0 centred so stage 1 returns a0."""
     alo = Fraction(a0, fib(n))
     b0 = frac(Fraction(fib(n - 1) * a0, fib(n)))
     return interval_at(alo, eta), interval_at(b0 - eta / 2, eta)
 
 
 def test_two_scale_coprimality_repair_single_step():
-    # greedy position 37 shares a factor with F_19 = 37*113; one F_10 step fixes it
+    # stage-1 position 37 shares a factor with F_19 = 37*113; one F_10 step fixes it
     I, J = _windows_starting_at(19, 37, Fraction(1, 20))
     w = find_two_scale(19, I, J)
     assert w is not None
@@ -283,7 +367,7 @@ def test_two_scale_coprimality_repair_multi_step():
     assert verify_witness(w, I, J).passed
 
 
-# ---- stepping identity behind the guided walk ----
+# ---- step identity (lattice.steps) ----
 
 
 @pytest.mark.parametrize("n", range(3, 31))
