@@ -21,15 +21,30 @@ Fibonacci recurrence in k, as (-1)^(k-1) F_{n-k} + (-1)^(k-2) F_{n-k+1} =
   and both score near(F_k) near(F_{n-k})/F_n. For general a, x -> a x
   permutes the nonzero residues: the same minimum, at y a^-1 mod F_n.
 
-Both witness searches ask first_hit for the first lattice point in a box,
-proved exact below, in O(log range) Euclid levels. That the greedy walk of
+Reduced basis: for n >= 3 and k = n // 2, the vectors
+u = (F_k, (-1)^(k-1) F_{n-k}) and v = (F_{k+1}, (-1)^k F_{n-k-1}) lie in
+the lattice L = {(a, r) : r = F_{n-1} a mod F_n} by the step identity, and
+det(u, v) = (-1)^k (F_k F_{n-k-1} + F_{k+1} F_{n-k}) = (-1)^k F_n by the
+addition law F_{i+j} = F_{i+1} F_j + F_i F_{j-1}. L has index F_n in Z^2
+(each a has one residue class of r), so two of its vectors with
+determinant +-F_n span it: every point is i u + j v with integers i, j.
+The point (a, r) = i u + j v has i det(u, v) = a v_r - r v_a, so a box of
+sides da and dr crosses at most 1 + (da |v_r| + dr v_a)/F_n lines of
+fixed i. The entries |v_r| = F_{n-k-1} and v_a = F_{k+1} are within a
+constant factor of sqrt(F_n), so a box of sides up to about sqrt(F_n)
+crosses O(1) lines.
+
+Both witness searches ask first_hit for the first lattice point in a box.
+It counts the lines the box crosses, exactly, and takes the smallest point
+on each from closed-form bounds on j. When there are more lines than the
+Euclid solver has levels (a thin, tall box), the solver, proved exact
+below, answers in O(log range) levels instead. That the greedy walk of
 Fibonacci steps that find_two_scale once used returns the same on every box
 whose position range is shorter than F_{n-1} is checked by tests, not proved.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -61,10 +76,19 @@ def cassini_inverse(n: int) -> int:
     return fib(n - 1) if n % 2 == 0 else fib(n) - fib(n - 1)
 
 
+def basis(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The reduced basis (u, v) of the lattice for n >= 3, as (a, r) pairs:
+    u = (F_k, (-1)^(k-1) F_{n-k}), v = (F_{k+1}, (-1)^k F_{n-k-1}), k = n // 2."""
+    k = n // 2
+    sign = -1 if k % 2 else 1
+    return (fib(k), -sign * fib(n - k)), (fib(k + 1), sign * fib(n - k - 1))
+
+
 def integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
     """The integers k with k/F_n in span and 0 <= k < F_n, as (first, last)."""
     fn = fib(n)
-    return math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1)
+    lo, hi = span.lo, span.hi
+    return -(-lo.numerator * fn // lo.denominator), min(hi.numerator * fn // hi.denominator, fn - 1)
 
 
 def _first_multiple_in_window(s: int, m: int, lo: int, hi: int, bound: int) -> int | None:
@@ -103,13 +127,39 @@ def _first_multiple_in_window(s: int, m: int, lo: int, hi: int, bound: int) -> i
 
 def first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int) -> int | None:
     """The smallest a in [a_lo, a_hi] whose residue F_{n-1} a mod F_n lies in
-    [w_lo, w_hi], or None; needs 0 <= a_lo and w_hi < F_n. With the residue
-    b of a_lo outside the window, shifting the window by -b leaves it
-    unwrapped (only b itself shifts to 0), and the offset from a_lo is the
-    first multiple of the step in the shifted window, at most a_hi - a_lo."""
+    [w_lo, w_hi], or None; needs 0 <= a_lo and 0 <= w_lo, w_hi < F_n, so the
+    lattice points of the box are exactly those pairs (a, residue).
+
+    Lines: reflect r -> -r if needed so that v_r > 0; then det(u, v) = F_n
+    and the point i u + j v has i F_n = a v_r - r v_a, so the box crosses
+    the lines i_lo..i_hi of its corners. On line i both a and r grow with j,
+    so the smallest j that the lower bounds on a and r allow gives the
+    line's smallest a, a hit if it keeps within the upper bounds too.
+
+    Euclid: with the residue b of a_lo outside the window, shifting the
+    window by -b leaves it unwrapped (only b itself shifts to 0), and the
+    offset from a_lo is the first multiple of the step in the shifted
+    window, at most a_hi - a_lo."""
     if a_lo > a_hi or w_lo > w_hi:
         return None
     fn = fib(n)
+    if n >= 3:
+        (ua, ur), (va, vr) = basis(n)
+        r_lo, r_hi = w_lo, w_hi
+        if vr < 0:
+            ur, vr, r_lo, r_hi = -ur, -vr, -w_hi, -w_lo
+        i_lo = -((r_hi * va - a_lo * vr) // fn)
+        i_hi = (a_hi * vr - r_lo * va) // fn
+        # a line costs about what one Euclid level does, two divisions, and
+        # the solver runs about log_phi(a_hi - a_lo) > bit_length levels
+        if i_hi - i_lo < (a_hi - a_lo).bit_length():
+            best = None
+            for i in range(i_lo, i_hi + 1):
+                j = max(-((i * ua - a_lo) // va), -((i * ur - r_lo) // vr))
+                a = i * ua + j * va
+                if a <= a_hi and i * ur + j * vr <= r_hi and (best is None or a < best):
+                    best = a
+            return best
     step = fib(n - 1) % fn
     b = step * a_lo % fn
     if w_lo <= b <= w_hi:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -354,12 +355,25 @@ def _check_keys(obj, keys: tuple[str, ...], field: str) -> None:
 _RAT = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
+def _integer(text: str, name: str) -> int:
+    """int() of a decimal string, which can fail only past the interpreter's
+    int<->str digit limit, the parser's guard against oversized input; the
+    error names the field and the limit, not how to lift it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(
+            f"{name} has {len(text.lstrip('-'))} digits, over the "
+            f"{sys.get_int_max_str_digits()}-digit limit on certificate integers"
+        ) from None
+
+
 def _rational(value, name: str) -> Rat:
     """Parse the reduced 'p/q' string rat_str writes: no sign on zero, no
     leading zeros, gcd(p, q) = 1. Each string is matched and converted once."""
     match = _RAT.fullmatch(value) if isinstance(value, str) else None
     if match:
-        p, q = int(match[1]), int(match[2])
+        p, q = _integer(match[1], f"{name} numerator"), _integer(match[2], f"{name} denominator")
         if math.gcd(p, q) == 1:
             return Fraction(p, q)
     raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
@@ -394,7 +408,7 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
     return Stage(
         nu=nu,
         n=n,
-        a=int(d["a"]),
+        a=_integer(d["a"], f"{field}.a"),
         delta=_rational(d["delta"], f"{field}.delta"),
         alpha=_rational(d["alpha"], f"{field}.alpha"),
         beta=_rational(d["beta"], f"{field}.beta"),
@@ -422,6 +436,13 @@ def certificate_from_json(text: str) -> Certificate:
         payload = json.loads(text)
     except RecursionError:
         raise ValueError("certificate: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() of a JSON number past the digit limit
+        raise ValueError(
+            "certificate: a JSON integer is over the "
+            f"{sys.get_int_max_str_digits()}-digit limit on certificate integers"
+        ) from None
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
     if not isinstance(payload["schedule"], str) or payload["schedule"] not in SCHEDULES:
         raise ValueError(f"schedule: unknown delta schedule {payload['schedule']!r}")

@@ -3,10 +3,14 @@
 Given an index n and two target windows, find a with 1 <= a < F_n and
 gcd(a, F_n) = 1 whose witness point (lattice.witness_point) lies in I x J.
 Both strategies ask one exact solver, lattice.first_hit, for the first
-lattice point in a box. find_brute is that search, exhaustive at every
-index; find_two_scale is a policy on it: a smaller box, then a coprime
-repair, with its result re-verified exactly. find_witness takes the
-strategy by name, or "auto", which picks by candidate count.
+lattice point in a box; a box the size of a build's target crosses a few
+lines of the lattice's reduced basis, so a miss costs a few big-integer
+divisions. The boxes are integer ranges formed from the windows'
+numerators and denominators, with no Fraction arithmetic. find_brute is
+that search, exhaustive at every index; find_two_scale is a policy on it:
+a smaller box, then a coprime repair, with its result re-verified exactly.
+find_witness takes the strategy by name, or "auto", which picks by
+candidate count.
 """
 
 from __future__ import annotations
@@ -98,13 +102,19 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | N
     if I.length != J.length or I.length == 0:
         raise ValueError("find_two_scale needs equal positive window lengths")
     fn = fib(n)
-    eta = I.length
+    a_lo, a_end = integer_range(n, I)
 
     # stage 1: positions restricted to the left half of I, residues to the
-    # middle third of J; a = 0 is admissible as a start, stage 2 fixes it up
-    a_lo, a_hi = integer_range(n, UnitInterval(I.lo, I.lo + eta / 2))
-    third = UnitInterval(J.lo + eta / 3, J.lo + 2 * eta / 3)
-    a = first_hit(n, a_lo, a_hi, *integer_range(n, third))
+    # middle third of J; a = 0 is admissible as a start, stage 2 fixes it up.
+    # With |I| = |J| these are (lo_I + hi_I)/2 and (2 lo_J + hi_J)/3 ..
+    # (lo_J + 2 hi_J)/3, each below 1, taken times F_n in integers
+    p, q, r, s = I.lo.numerator, I.lo.denominator, I.hi.numerator, I.hi.denominator
+    a_hi = (p * s + r * q) * fn // (2 * q * s)
+    p, q, r, s = J.lo.numerator, J.lo.denominator, J.hi.numerator, J.hi.denominator
+    den = 3 * q * s
+    w_lo = -(-(2 * p * s + r * q) * fn // den)
+    w_hi = (p * s + 2 * r * q) * fn // den
+    a = first_hit(n, a_lo, a_hi, w_lo, w_hi)
     if a is None:
         return None
 
@@ -112,7 +122,7 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | N
     a0 = a
     if math.gcd(a0, fn) != 1:
         f_kstar = fib(select_kstar(n))
-        budget = (integer_range(n, I)[1] - a0) // f_kstar
+        budget = (a_end - a0) // f_kstar
         # gcd(F_{k*}, F_n) = 1, so each prime p of F_n rules out only one j in every p
         for j in range(1, budget + 1):
             if math.gcd(a0 + j * f_kstar, fn) == 1:

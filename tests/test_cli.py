@@ -220,7 +220,33 @@ def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
         code, stdout, stderr = run(capsys, *argv)
         assert code == 2
         assert stdout == ""
-        assert stderr.startswith(f"error: Exceeds the limit ({_int_text_limit()} digits)")
+        assert stderr == (
+            f"error: stages[1].alpha numerator has 5000 digits, over the "
+            f"{_int_text_limit()}-digit limit on certificate integers\n"
+        )
+
+
+@pytest.mark.skipif(not _int_text_limit(), reason="no int<->str limit in force")
+@pytest.mark.parametrize("field", ["a", "n"])
+def test_oversized_integer_is_usage_error(tmp_path, capsys, field):
+    # the error names the field and the limit, not the interpreter's advice
+    # to lift it, which a certificate reader cannot act on
+    payload = json.loads((FIXTURES / "pow2-5.json").read_text())
+    limit = f"over the {_int_text_limit()}-digit limit on certificate integers"
+    if field == "a":
+        payload["stages"][2]["a"] = "1" * 5001
+        text, expect = json.dumps(payload), f"stages[2].a has 5001 digits, {limit}"
+    else:
+        # a JSON number this long fails inside json.loads, before any field
+        assert payload["stages"][2]["n"] == 19
+        text = json.dumps(payload).replace('"n": 19', '"n": ' + "1" * 5001)
+        expect = f"certificate: a JSON integer is {limit}"
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "verify-cert", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {expect}\n"
 
 
 def test_min_scan_pass(capsys):

@@ -1,7 +1,14 @@
-"""The identities lattice states, checked by direct computation."""
+"""The identities lattice states, checked by direct computation, and the
+line enumeration of first_hit checked against the Euclid solver."""
 
+import math
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fibnest import lattice
 from fibnest.fib import fib
-from fibnest.lattice import cassini_inverse, steps
+from fibnest.lattice import _first_multiple_in_window, basis, cassini_inverse, first_hit, rotate, steps
 
 
 def test_steps_are_the_rotated_fibonacci_steps():
@@ -12,3 +19,88 @@ def test_steps_are_the_rotated_fibonacci_steps():
 def test_cassini_inverse_inverts_the_rotation():
     for n in range(3, 201):
         assert cassini_inverse(n) * fib(n - 1) % fib(n) == 1, n
+
+
+def test_basis_is_a_basis_of_the_lattice():
+    for n in range(3, 301):
+        (ua, ur), (va, vr) = basis(n)
+        # lattice vectors: each residue is its position's rotation
+        assert ur % fib(n) == rotate(n, ua) and vr % fib(n) == rotate(n, va), n
+        assert ua * vr - ur * va == (-1) ** (n // 2) * fib(n), n
+
+
+def euclid_first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int):
+    """Oracle: first_hit by the Euclid solver alone, the residue b of a_lo
+    shifted to 0."""
+    if a_lo > a_hi:
+        return None
+    fn = fib(n)
+    step = fib(n - 1) % fn
+    b = step * a_lo % fn
+    if w_lo <= b <= w_hi:
+        return a_lo
+    t = _first_multiple_in_window(step, fn, (w_lo - b) % fn, (w_hi - b) % fn, a_hi - a_lo)
+    return None if t is None else a_lo + t
+
+
+# at n = 100 the box below crosses 35 lines, as many as the bit length of
+# its position range, and takes the lines; 36 lines take the Euclid solver
+_A_LO, _W_LO = 10**19, 3 * 10**19
+LINES_AT_LIMIT = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 600_000_000_000)
+LINES_PAST_LIMIT = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 615_000_000_000)
+# thin and tall: about F_151 lines for a range of 3 positions
+THIN_TALL = (300, 12_345, 12_348, rotate(300, 12_345) + 1, fib(300) - 1)
+# a box of side sqrt(F_n), the size of a build's target
+SQUARE = (300, 10**60, 10**60 + math.isqrt(fib(300)), 10**61, 10**61 + math.isqrt(fib(300)))
+
+
+def test_first_hit_path_follows_the_line_count(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _first_multiple_in_window(*args)
+
+    monkeypatch.setattr(lattice, "_first_multiple_in_window", counted)
+    for box, euclid in ((LINES_AT_LIMIT, False), (SQUARE, False), (LINES_PAST_LIMIT, True), (THIN_TALL, True)):
+        n, a_lo, _, w_lo, w_hi = box
+        # the Euclid path returns a_lo without a solver call if its residue hits
+        assert not w_lo <= rotate(n, a_lo) <= w_hi
+        calls.clear()
+        first_hit(*box)
+        assert bool(calls) == euclid, box
+
+
+@st.composite
+def lattice_boxes(draw):
+    n = draw(st.integers(min_value=4, max_value=700))
+    fn = fib(n)
+    root = math.isqrt(fn)
+    side = st.integers(min_value=root // 100, max_value=30 * root)
+    da, dr = draw(
+        st.one_of(
+            st.tuples(side, side),
+            st.tuples(st.integers(0, 3), st.integers(0, fn - 1)),  # thin and tall
+            st.tuples(st.integers(0, fn - 1), st.integers(0, 3)),  # wide and flat
+        )
+    )
+    dr = min(dr, fn - 1)
+    a_lo = draw(st.integers(min_value=0, max_value=fn - 1))
+    w_lo = draw(st.integers(min_value=0, max_value=fn - 1 - dr))
+    return n, a_lo, a_lo + da, w_lo, w_lo + dr
+
+
+@settings(max_examples=400, deadline=None)
+@given(lattice_boxes())
+@example(LINES_AT_LIMIT)
+@example(LINES_PAST_LIMIT)
+@example(THIN_TALL)
+@example(SQUARE)
+def test_first_hit_matches_euclid_solver(box):
+    n, a_lo, a_hi, w_lo, w_hi = box
+    a = first_hit(*box)
+    assert a == euclid_first_hit(*box)
+    if a is not None:
+        assert a_lo <= a <= a_hi and w_lo <= rotate(n, a) <= w_hi
+        # nothing hits strictly below a
+        assert euclid_first_hit(n, a_lo, a - 1, w_lo, w_hi) is None

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibnest import nest
+from fibnest.cli import _int_text_unlimited
 from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.nest import (
@@ -143,6 +145,19 @@ def test_build_depth_four_exhaustive_brute():
     cert = build(depth=4, n0=5, strategy="brute")
     assert [s.n for s in cert.stages] == [1, 5, 19, 77, 313]
     assert cert.policy == "brute"
+    assert verify_certificate(cert).passed
+
+
+@pytest.mark.parametrize(
+    "strategy, indices",
+    [("brute", [5, 19, 77, 313, 1259]), ("auto", [5, 19, 82, 335, 1352])],
+)
+def test_build_depth_five_with_a_larger_index_budget(monkeypatch, strategy, indices):
+    # 300 indices past the first stop short of depth 5; stage 5 lands near
+    # four times stage 4's index, where the target's area first holds a point
+    monkeypatch.setattr(nest, "MAX_INDEX_STEPS", 3000)
+    cert = build(depth=5, schedule="pow2", n0=5, strategy=strategy)
+    assert [s.n for s in cert.stages[1:]] == indices
     assert verify_certificate(cert).passed
 
 
@@ -476,11 +491,25 @@ _FRACTION_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 
 
 def fraction_rational(value, name):
-    """The rational parser as a regex, two Fraction(str) parses and a
-    rat_str round trip, kept as the oracle of nest._rational."""
-    canonical = isinstance(value, str) and _FRACTION_RAT.fullmatch(value)
-    if not canonical or rat_str(Fraction(value)) != value:
-        raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
+    """The rational parser as a regex, int round trips, a Fraction(str)
+    parse and a rat_str round trip, with the interpreter's digit limit
+    lifted and then applied by length to each part of a value with no
+    leading zero, kept as the oracle of nest._rational."""
+    refused = ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
+    if not (isinstance(value, str) and _FRACTION_RAT.fullmatch(value)):
+        raise refused
+    p, q = value.split("/")
+    with _int_text_unlimited():
+        plain = f"{int(p)}/{int(q)}" == value
+        reduced = rat_str(Fraction(value)) == value
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for part, digits in (("numerator", p.lstrip("-")), ("denominator", q)):
+        if plain and limit and len(digits) > limit:
+            raise ValueError(
+                f"{name} {part} has {len(digits)} digits, over the {limit}-digit limit on certificate integers"
+            )
+    if not reduced:
+        raise refused
     return Fraction(value)
 
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
-from fibnest.lattice import _first_multiple_in_window, first_hit, rotate, steps
+from fibnest.lattice import _first_multiple_in_window, first_hit, integer_range, rotate, steps
 from fibnest.search import (
     LemmaWitness,
     TwoScaleExhausted,
@@ -365,6 +366,40 @@ def test_two_scale_coprimality_repair_multi_step():
     assert w.a == 2 + 3 * fib(11)
     assert math.gcd(w.a, fib(21)) == 1
     assert verify_witness(w, I, J).passed
+
+
+@st.composite
+def equal_length_windows(draw):
+    n = draw(st.integers(min_value=4, max_value=400))
+    den = draw(st.integers(min_value=1, max_value=10**60))
+    eta = Fraction(draw(st.integers(min_value=1, max_value=den)), den)
+
+    def window():
+        d = draw(st.integers(min_value=1, max_value=10**60))
+        lo = (1 - eta) * Fraction(draw(st.integers(min_value=0, max_value=d)), d)
+        return interval_at(lo, eta)
+
+    return n, window(), window()
+
+
+@settings(max_examples=300, deadline=None)
+@given(equal_length_windows())
+@example((20, interval_at(Fraction(0), Fraction(1)), interval_at(Fraction(0), Fraction(1))))
+@example((82, interval_at(Fraction(1, 3), Fraction(1, 10**30)), interval_at(Fraction(2, 3), Fraction(1, 10**30))))
+def test_two_scale_integer_windows_match_fraction_windows(problem):
+    n, I, J = problem
+    fn, eta = fib(n), I.length
+    # the Fraction forms stage 1 once built: the left half of I, the middle third of J
+    half = UnitInterval(I.lo, I.lo + eta / 2)
+    third = UnitInterval(J.lo + eta / 3, J.lo + 2 * eta / 3)
+    for span in (I, J, half, third):
+        assert integer_range(n, span) == (math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1))
+    with mock.patch("fibnest.search.first_hit", wraps=first_hit) as spy:
+        try:
+            find_two_scale(n, I, J)
+        except TwoScaleExhausted:
+            pass
+    spy.assert_called_once_with(n, *integer_range(n, half), *integer_range(n, third))
 
 
 # ---- step identity (lattice.steps) ----
