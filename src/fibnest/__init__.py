@@ -17,14 +17,13 @@ from .bounds import (
     star_discrepancy,
     star_discrepancy_of_points,
 )
-from .exact import Rat, UnitInterval, dist_int, frac, rat_decimal, rat_str, trim
+from .exact import Rat, UnitInterval, dist_int, frac, rat_decimal, rat_str
 from .fib import fib, fib_index_at_least, golden_convergent
 from .lattice import witness_point
 from .nest import (
     Certificate,
     DepthUnreachable,
     Stage,
-    approximants,
     build,
     certificate_from_json,
     certificate_to_json,
@@ -63,7 +62,6 @@ __all__ = [
     "Stage",
     "TwoScaleExhausted",
     "UnitInterval",
-    "approximants",
     "build",
     "certificate_from_json",
     "certificate_to_json",
@@ -88,7 +86,6 @@ __all__ = [
     "select_kstar",
     "star_discrepancy",
     "star_discrepancy_of_points",
-    "trim",
     "verify_certificate",
     "verify_witness",
     "witness_point",

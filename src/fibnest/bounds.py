@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 from .exact import Rat, rat_decimal, rat_str
 from .fib import fib, golden_convergent
-from .lattice import candidate_min, cassini_inverse, witness_point
-from .nest import Certificate, approximants
+from .lattice import candidate_min, cassini_inverse
+from .nest import Certificate
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
 
@@ -237,9 +237,9 @@ def littlewood_lower_bound(
         )
     st = cert.stages[level]
     q = _check_witness(st.n, st.a)
-    if (st.alpha, st.beta) != witness_point(st.n, st.a):
+    if (st.alpha, st.beta) != st.box.point:
         raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
-    err = approximants(cert, proxy_level)[2]
+    err = cert.stages[proxy_level].box.width
     best, best_x = candidate_min(st.n, st.a, err)
     lhs = q * best
     gap = Fraction(1, 2) - q * (q - 1) * err
@@ -375,7 +375,10 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
             notes=notes,
         )
     cap = Fraction(cap)
-    snapshot = Fraction(format(float(cap) * math.log(count + 1), ".12f"))
+    product = float(cap) * math.log(count + 1)
+    if math.isinf(product):
+        raise ValueError(f"cap {float(cap):g}: the snapshot cap * ln(count + 1) overflows a float")
+    snapshot = Fraction(format(product, ".12f"))
     return bound_report(
         f"star-discrepancy[n={n}, count={count}]",
         snapshot,

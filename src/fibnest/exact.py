@@ -65,15 +65,6 @@ class UnitInterval:
 FULL_INTERVAL = UnitInterval(Fraction(0), Fraction(1))
 
 
-def trim(interval: UnitInterval, keep_fraction: RatLike) -> UnitInterval:
-    """Shrink an interval to keep_fraction of its length, keeping its left
-    end fixed. keep_fraction must lie in (0, 1]."""
-    keep = Fraction(keep_fraction)
-    if not 0 < keep <= 1:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep}")
-    return UnitInterval(interval.lo, interval.lo + interval.length * keep)
-
-
 # ---- rendering ----
 
 DECIMAL_DIGITS = 50

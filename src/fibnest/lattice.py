@@ -41,10 +41,17 @@ Euclid solver has levels (a thin, tall box), the solver, proved exact
 below, answers in O(log range) levels instead. That the greedy walk of
 Fibonacci steps that find_two_scale once used returns the same on every box
 whose position range is shorter than F_{n-1} is checked by tests, not proved.
+
+Box: a witness (n, a) and a delta name a stage, with windows
+I = [alpha, alpha + delta/F_n^2] and J = [beta, beta + delta/F_n^2] at the
+witness point (alpha, beta); Box is the one place that forms that width.
+rotate is 0 at n = 1, as every residue mod F_1 = 1 is, so Box(1, 0, 1) is
+the unit square of the seed, and a stage corrupted to n = 1 still has a point.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -53,14 +60,41 @@ from .fib import fib
 
 
 def rotate(n: int, x: int) -> int:
-    """F_{n-1} x mod F_n, the residue of position x."""
-    return fib(n - 1) * x % fib(n)
+    """F_{n-1} x mod F_n, the residue of position x; 0 at n = 1."""
+    return fib(n - 1) * x % fib(n) if n > 1 else 0
 
 
 def witness_point(n: int, a: int) -> tuple[Fraction, Fraction]:
     """The point (a/F_n, frac(F_{n-1} a/F_n)) that a witness (n, a) names."""
     fn = fib(n)
     return Fraction(a, fn), Fraction(rotate(n, a), fn)
+
+
+@dataclass(frozen=True)
+class Box:
+    """The stage that a witness (n, a) and a delta name (see above)."""
+
+    n: int
+    a: int
+    delta: Rat
+
+    @property
+    def width(self) -> Rat:
+        """delta/F_n^2, the side of both windows."""
+        return Fraction(self.delta.numerator, self.delta.denominator * fib(self.n) ** 2)
+
+    @property
+    def point(self) -> tuple[Fraction, Fraction]:
+        return witness_point(self.n, self.a)
+
+    def windows(self) -> tuple[UnitInterval, UnitInterval]:
+        """I and J as UnitIntervals (ValueError outside [0, 1])."""
+        (alpha, beta), width = self.point, self.width
+        return UnitInterval(alpha, alpha + width), UnitInterval(beta, beta + width)
+
+    def half(self) -> Box:
+        """The left halves of both windows: the box of delta/2."""
+        return Box(self.n, self.a, self.delta / 2)
 
 
 def steps(n: int) -> Iterator[tuple[int, int]]:

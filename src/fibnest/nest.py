@@ -3,11 +3,12 @@
 Each stage after the synthetic seed records a witness (n, a): the point
 alpha = a/F_n with its companion beta = frac(F_{n-1} a / F_n), and fresh
 windows I = [alpha, alpha + delta/F_n^2], J = [beta, beta + delta/F_n^2]
-nested inside the previous pair. Targets are the left halves of the
-current windows, so the right halves remain as slack for the next
-window length. The stage index search starts at the smallest n whose
-F_n makes the trimmed target wide enough to contain an integer
-position, and increments until a witness verifies.
+nested inside the previous pair, all formed by lattice.Box from (n, a,
+delta) (Stage.box). Targets are the left halves of the current windows
+(Box.half), so the right halves remain as slack for the next window
+length. The stage index search starts at the smallest n whose F_n makes
+the target wide enough to contain an integer position, and increments
+until a witness verifies.
 
 Certificates are deterministic: identical build arguments reproduce the
 same stages and the same serialized bytes.
@@ -15,6 +16,7 @@ same stages and the same serialized bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exact import Rat, UnitInterval, rat_str, trim
+from .exact import Rat, UnitInterval, rat_str
 from .fib import fib, fib_index_at_least
-from .lattice import witness_point
+from .lattice import Box
 from .report import (
     ReportBundle,
     bound_report,
@@ -52,6 +54,12 @@ class Stage:
     I: UnitInterval
     J: UnitInterval
 
+    @property
+    def box(self) -> Box:
+        """The box of the stored n, a and delta; verify_certificate compares
+        the stored point and windows with it."""
+        return Box(self.n, self.a, self.delta)
+
 
 # delta schedules by the name a certificate records: nu -> delta_nu with
 # delta_0 = 1, positive and strictly decreasing
@@ -76,28 +84,21 @@ class Certificate:
         return len(self.stages) - 1
 
 
+def _stage(nu: int, box: Box) -> Stage:
+    """Stage nu with the witness, delta, point and windows of box."""
+    (alpha, beta), (I, J) = box.point, box.windows()
+    return Stage(nu=nu, n=box.n, a=box.a, delta=box.delta, alpha=alpha, beta=beta, I=I, J=J)
+
+
+@functools.cache  # immutable, and certificate_from_json compares every seed with it
 def seed_stage() -> Stage:
     """Stage 0: the whole unit square, delta_0 = 1, no real witness.
 
-    Encoded with n = 1 and a = 0: F_1 = 1 makes the recorded windows
-    [0, 1] exactly, and the a-range and coprimality conditions are
-    exempted for the seed.
+    Encoded as Box(1, 0, 1): F_1 = 1 makes the recorded windows [0, 1]
+    exactly, and the a-range and coprimality conditions are exempted for
+    the seed.
     """
-    full = UnitInterval(Fraction(0), Fraction(1))
-    return Stage(
-        nu=0,
-        n=1,
-        a=0,
-        delta=Fraction(1),
-        alpha=Fraction(0),
-        beta=Fraction(0),
-        I=full,
-        J=full,
-    )
-
-
-def _ceil_rat(q: Rat) -> int:
-    return -((-q.numerator) // q.denominator)
+    return _stage(0, Box(1, 0, Fraction(1)))
 
 
 def build(
@@ -120,16 +121,14 @@ def build(
 
     stages = [seed_stage()]
     for nu in range(depth):
-        cur = stages[-1]
-        delta_next = SCHEDULES[schedule](nu + 1)
-        target_i = trim(cur.I, Fraction(1, 2))
-        target_j = trim(cur.J, Fraction(1, 2))
+        target = stages[-1].box.half()
+        target_i, target_j = target.windows()
 
-        # smallest n whose trimmed target is wide enough for an integer
-        # position; F_n >= 2 F_prev^2 / delta_prev also makes the new window
-        # at most 1/4 of the old one, so it fits in the untouched right half
-        n_try = fib_index_at_least(_ceil_rat(2 * fib(cur.n) ** 2 / cur.delta))
-        n_try = max(n_try, cur.n + 1)
+        # smallest n whose target is wide enough for an integer position;
+        # F_n >= 2 F_prev^2 / delta_prev also makes the new window at most
+        # 1/4 of the old one, so it fits in the untouched right half
+        n_try = fib_index_at_least(math.ceil(1 / target.width))
+        n_try = max(n_try, target.n + 1)
         if nu == 0:
             n_try = max(n_try, n0)
         first_tried = n_try
@@ -142,32 +141,9 @@ def build(
                 break
             n_try += 1
 
-        new_len = delta_next / fib(n_try) ** 2
-        stages.append(
-            Stage(
-                nu=nu + 1,
-                n=n_try,
-                a=witness.a,
-                delta=delta_next,
-                alpha=witness.alpha_n,
-                beta=witness.beta_n,
-                I=UnitInterval(witness.alpha_n, witness.alpha_n + new_len),
-                J=UnitInterval(witness.beta_n, witness.beta_n + new_len),
-            )
-        )
+        stages.append(_stage(nu + 1, Box(n_try, witness.a, SCHEDULES[schedule](nu + 1))))
 
     return Certificate(schedule=schedule, policy=strategy, stages=tuple(stages))
-
-
-def approximants(cert: Certificate, level: int) -> tuple[Rat, Rat, Rat]:
-    """(alpha_nu, beta_nu, err) at a stage: every point of the deeper
-    nesting lies within err = delta_nu / F_n^2 of the returned pair."""
-    if level < 1 or level >= len(cert.stages):
-        raise ValueError(
-            f"level must be in [1, {len(cert.stages) - 1}], got {level}"
-        )
-    st = cert.stages[level]
-    return st.alpha, st.beta, st.delta / fib(st.n) ** 2
 
 
 _ZERO = Fraction(0)
@@ -225,9 +201,6 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
         equality_report("seed-delta", seed.delta, _ONE),
     ]
 
-    # widths[nu] = delta_nu / F_n^2, the window length of stage nu and the
-    # radius that localises every deeper stage
-    widths = [_ONE]
     for prev, st in zip(stages, stages[1:]):
         tag = f"stage{st.nu}"
         fn = fib(st.n)
@@ -265,11 +238,11 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
                 witness=st.a,
             )
         )
-        alpha, beta = witness_point(st.n, st.a)
+        box = st.box
+        alpha, beta = box.point
         items.append(equality_report(f"{tag}-alpha-def", st.alpha, alpha))
         items.append(equality_report(f"{tag}-beta-def", st.beta, beta))
-        width = Fraction(st.delta.numerator, st.delta.denominator * fn**2)
-        widths.append(width)
+        width = box.width
         items.append(
             equality_report(
                 f"{tag}-window-I",
@@ -306,7 +279,7 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
     # two-sided localization between every pair of levels: the deeper
     # stage point approximates within delta_mu / F_{n_mu}^2
     for mu in range(1, len(stages)):
-        shallow, radius = stages[mu], widths[mu]
+        shallow, radius = stages[mu], stages[mu].box.width
         for nu in range(mu + 1, len(stages)):
             deep = stages[nu]
             drift = Fraction(

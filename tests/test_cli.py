@@ -192,6 +192,25 @@ def test_huge_corrupted_index_fails_checks(tmp_path, capsys, command):
     assert _int_text_limit() == limit
 
 
+@pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
+def test_corrupted_index_one_fails_checks(tmp_path, capsys, command):
+    # n = 1 is the seed's index, where F_1 = 1 still gives a point and a
+    # width: the corruption is failed checks (exit 1), not a usage error
+    payload = json.loads((FIXTURES / "pow2-5.json").read_text())
+    payload["stages"][1]["n"] = 1
+    path = tmp_path / "n-one.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    if command == "verify-cert":
+        argv = ["verify-cert", "--in", str(path)]
+    else:
+        argv = ["littlewood", "--cert", str(path), "--level", "1", "--proxy", "2"]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1
+    assert stderr == ""
+    for check in ("n-increasing", "a-range", "alpha-def", "beta-def", "window-I", "window-J"):
+        assert f"  FAIL  stage1-{check}  " in stdout
+
+
 @pytest.mark.parametrize(
     "argv",
     [("q2", "--n", "20600", "--k", "5"), ("discrepancy", "--n", "20600", "--count", "100")],
@@ -420,6 +439,14 @@ def test_discrepancy_cap_without_float_is_usage_error(capsys, cap):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument --cap: invalid Fraction value: '{cap}'" in captured.err
+
+
+def test_discrepancy_cap_overflowing_snapshot_is_usage_error(capsys):
+    # 1e308 is a float, but the snapshot 1e308 * ln(101) is not
+    code, stdout, stderr = run(capsys, "discrepancy", "--n", "25", "--count", "100", "--cap", "1e308")
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "error: cap 1e+308: the snapshot cap * ln(count + 1) overflows a float\n"
 
 
 def test_discrepancy_cap_largest_float(capsys):

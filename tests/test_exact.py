@@ -11,7 +11,6 @@ from fibnest.exact import (
     frac,
     rat_decimal,
     rat_str,
-    trim,
 )
 
 rationals = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
@@ -75,37 +74,6 @@ def test_full_interval():
 def test_interval_validation(lo, hi):
     with pytest.raises(ValueError):
         UnitInterval(lo, hi)
-
-
-def test_trim_known():
-    assert trim(FULL_INTERVAL, Fraction(1, 3)) == UnitInterval(Fraction(0), Fraction(1, 3))
-    iv = UnitInterval(Fraction(2, 5), Fraction(21, 50))
-    assert trim(iv, Fraction(1, 2)) == UnitInterval(Fraction(2, 5), Fraction(41, 100))
-
-
-def test_trim_keep_one_is_identity():
-    iv = UnitInterval(Fraction(1, 8), Fraction(5, 8))
-    assert trim(iv, Fraction(1)) == iv
-
-
-def test_trim_validation():
-    with pytest.raises(ValueError):
-        trim(FULL_INTERVAL, Fraction(0))
-    with pytest.raises(ValueError):
-        trim(FULL_INTERVAL, Fraction(3, 2))
-
-
-@given(
-    st.fractions(min_value=Fraction(0), max_value=Fraction(1, 2)),
-    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1, 2)),
-    st.fractions(min_value=Fraction(1, 100), max_value=Fraction(1)),
-)
-def test_trim_contained_and_scaled(lo, length, keep):
-    iv = UnitInterval(lo, lo + length)
-    out = trim(iv, keep)
-    assert iv.lo <= out.lo and out.hi <= iv.hi
-    assert out.length == keep * iv.length
-    assert out.lo == iv.lo
 
 
 @given(rationals)

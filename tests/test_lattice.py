@@ -2,13 +2,15 @@
 line enumeration of first_hit checked against the Euclid solver."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibnest import lattice
+from fibnest.exact import FULL_INTERVAL, UnitInterval
 from fibnest.fib import fib
-from fibnest.lattice import _first_multiple_in_window, basis, cassini_inverse, first_hit, rotate, steps
+from fibnest.lattice import Box, _first_multiple_in_window, basis, cassini_inverse, first_hit, rotate, steps
 
 
 def test_steps_are_the_rotated_fibonacci_steps():
@@ -104,3 +106,29 @@ def test_first_hit_matches_euclid_solver(box):
         assert a_lo <= a <= a_hi and w_lo <= rotate(n, a) <= w_hi
         # nothing hits strictly below a
         assert euclid_first_hit(n, a_lo, a - 1, w_lo, w_hi) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_box_windows_width_and_half(data):
+    n = data.draw(st.integers(2, 300))
+    fn = fib(n)
+    a = data.draw(st.integers(0, fn - 1).filter(lambda a: math.gcd(a, fn) == 1))
+    delta = data.draw(st.fractions(Fraction(0), Fraction(1), max_denominator=10**9).filter(bool))
+    box = Box(n, a, delta)
+    point = (Fraction(a, fn), Fraction(fib(n - 1) * a % fn, fn))
+    assert box.point == point
+    assert box.windows() == tuple(UnitInterval(c, c + delta / fn**2) for c in point)
+    # the half box is the old build target: the left half of each window
+    assert box.half().windows() == tuple(UnitInterval(w.lo, w.lo + (w.hi - w.lo) / 2) for w in box.windows())
+    # so build's first index is fib_index_at_least of ceil(2 F_n^2 / delta)
+    assert math.ceil(1 / box.half().width) == -(-2 * fn**2 * delta.denominator // delta.numerator)
+
+
+def test_box_of_the_seed_is_the_unit_square():
+    seed = Box(1, 0, Fraction(1))
+    assert seed.point == (0, 0) and seed.width == 1
+    assert seed.windows() == (FULL_INTERVAL, FULL_INTERVAL)
+    # every residue mod F_1 = 1 is 0, so any a has a point at n = 1
+    assert rotate(1, 7) == 0
+    assert Box(1, 7, Fraction(1, 2)).point == (7, 0)

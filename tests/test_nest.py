@@ -20,7 +20,6 @@ from fibnest.nest import (
     Certificate,
     DepthUnreachable,
     _rational,
-    approximants,
     build,
     certificate_from_json,
     certificate_to_json,
@@ -28,6 +27,7 @@ from fibnest.nest import (
     verify_certificate,
 )
 from fibnest.report import BoundReport, ReportBundle, bundle_to_text, flatten, to_csv, to_json
+from fibnest.search import STRATEGIES
 
 
 def test_seed_stage_shape():
@@ -201,23 +201,13 @@ def test_nesting_invariants(cert3):
 
 
 def test_approximants(cert3):
-    alpha1, beta1, err1 = approximants(cert3, 1)
-    assert (alpha1, beta1) == (Fraction(2, 5), Fraction(1, 5))
-    assert err1 == Fraction(1, 2) / 25
-    alpha3, beta3, err3 = approximants(cert3, 3)
-    assert err3 == Fraction(1, 8) / fib(82) ** 2
+    st1, st3 = cert3.stages[1], cert3.stages[3]
+    assert st1.box.point == (Fraction(2, 5), Fraction(1, 5))
+    assert st1.box.width == Fraction(1, 2) / 25
+    assert st3.box.width == Fraction(1, 8) / fib(82) ** 2
     # deeper approximants stay within the shallower error radius
-    assert abs(alpha3 - alpha1) <= err1
-    assert abs(beta3 - beta1) <= err1
-
-
-def test_approximants_validation(cert1):
-    with pytest.raises(ValueError):
-        approximants(cert1, 0)
-    with pytest.raises(ValueError):
-        approximants(cert1, 2)
-    with pytest.raises(ValueError):
-        approximants(build(depth=0), 1)
+    assert abs(st3.alpha - st1.alpha) <= st1.box.width
+    assert abs(st3.beta - st1.beta) <= st1.box.width
 
 
 def test_verify_fresh_certificates(cert1, cert3):
@@ -409,6 +399,19 @@ def assert_matches_oracle(cert: Certificate) -> ReportBundle:
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 FIXTURE_NAMES = ("pow2-5", "inv-5", "pow2-6", "pow2-8")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_stages_are_their_boxes(name):
+    cert = certificate_from_json((FIXTURE_DIR / f"{name}.json").read_text())
+    assert all(st == nest._stage(nu, st.box) for nu, st in enumerate(cert.stages))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+def test_built_stages_are_their_boxes(schedule, strategy):
+    cert = build(depth=4, schedule=schedule, n0=5, strategy=strategy)
+    assert all(st == nest._stage(nu, st.box) for nu, st in enumerate(cert.stages))
 
 
 def corrupt_payload(payload: dict, stage: int, field: str, step: int) -> dict:
