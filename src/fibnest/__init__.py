@@ -24,15 +24,16 @@ from .nest import (
     Certificate,
     DepthUnreachable,
     Stage,
+    Verified,
     build,
     certificate_from_json,
     certificate_to_json,
     seed_stage,
+    verify,
     verify_certificate,
 )
 from .report import BoundReport, ReportBundle
 from .search import (
-    LemmaWitness,
     TwoScaleExhausted,
     find_brute,
     find_two_scale,
@@ -51,7 +52,6 @@ __all__ = [
     "ErrorBudget",
     "GOLDEN_INV_SQ",
     "GOLDEN_SQ",
-    "LemmaWitness",
     "LittlewoodResult",
     "MinRecord",
     "ProxyTooShallow",
@@ -62,6 +62,7 @@ __all__ = [
     "Stage",
     "TwoScaleExhausted",
     "UnitInterval",
+    "Verified",
     "build",
     "certificate_from_json",
     "certificate_to_json",
@@ -86,6 +87,7 @@ __all__ = [
     "select_kstar",
     "star_discrepancy",
     "star_discrepancy_of_points",
+    "verify",
     "verify_certificate",
     "verify_witness",
     "witness_point",

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .exact import Rat, rat_decimal, rat_str
 from .fib import fib, golden_convergent
 from .lattice import candidate_min, cassini_inverse
-from .nest import Certificate
+from .nest import Verified
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
 
@@ -195,14 +195,9 @@ def convergent_gap(n: int, k: int) -> ReportBundle:
 class LittlewoodResult:
     report: BoundReport
     budget: ErrorBudget
-    record: MinRecord  # certified minimum record (x_min, values)
 
 
-def littlewood_lower_bound(
-    cert: Certificate,
-    level: int,
-    proxy_level: int,
-) -> LittlewoodResult:
+def littlewood_lower_bound(verified: Verified, level: int, proxy_level: int) -> LittlewoodResult:
     """Lower bound for Q * min over 1 <= x < Q of dist(alpha x) dist(beta x),
     Q = F_{n_level}, taken for the level stage's own rational (alpha_level,
     beta_level). The proxy stage supplies the deviation radius err (its
@@ -216,9 +211,10 @@ def littlewood_lower_bound(
     within err of it, and on perfbench/fixtures/pow2-5.json it scores
     below the level-2 lhs. ROADMAP item 1 has the sound bound.
 
-    The level stage must be a valid witness: n >= 3, 1 <= a < Q,
-    gcd(a, Q) = 1 and (alpha, beta) = witness_point(n, a); otherwise
-    ValueError. Only the convergent candidates are evaluated
+    Only a Verified certificate is taken (TypeError otherwise), so the
+    level stage is a witness: its a-range, coprime and alpha-def/beta-def
+    checks passed, and n > n_0 = 1 with F_n > a >= 1 makes n >= 3.
+    Only the convergent candidates are evaluated
     (lattice.candidate_min). Every other x has Q dist(alpha_level x)
     dist(beta_level x) >= 1/2, and since the two distances sum to at most
     1 the drift costs it at most (Q-1) err, so its scaled clamped product
@@ -229,17 +225,20 @@ def littlewood_lower_bound(
     candidate minimum is exact: a proxy with delta = 0 passes
     verification, which asks only that delta decrease.
     """
-    if not 1 <= level < len(cert.stages):
-        raise ValueError(f"level must be in [1, {len(cert.stages) - 1}], got {level}")
-    if not level < proxy_level < len(cert.stages):
-        raise ValueError(
-            f"proxy_level must be in [{level + 1}, {len(cert.stages) - 1}], got {proxy_level}"
-        )
-    st = cert.stages[level]
-    q = _check_witness(st.n, st.a)
-    if (st.alpha, st.beta) != st.box.point:
-        raise ValueError(f"stage {level}: alpha and beta must be a/F_n and frac(F_(n-1) a/F_n)")
-    err = cert.stages[proxy_level].box.width
+    if not isinstance(verified, Verified):
+        raise TypeError(f"need a Verified certificate from nest.verify, got {type(verified).__name__}")
+    depth = verified.cert.depth
+    if depth == 0:
+        raise ValueError("the certificate has no stage beyond the seed to bound")
+    if not 1 <= level <= depth:
+        raise ValueError(f"level must be in [1, {depth}], got {level}")
+    if level == depth:
+        raise ValueError(f"level {level} is the deepest stage: no deeper stage is left to act as proxy")
+    if not level < proxy_level <= depth:
+        raise ValueError(f"proxy_level must be in [{level + 1}, {depth}], got {proxy_level}")
+    st = verified.cert.stages[level]
+    q = fib(st.n)
+    err = verified.cert.stages[proxy_level].box.width
     best, best_x = candidate_min(st.n, st.a, err)
     lhs = q * best
     gap = Fraction(1, 2) - q * (q - 1) * err
@@ -248,10 +247,7 @@ def littlewood_lower_bound(
             f"Q * candidate minimum {rat_str(lhs)} is not below 1/2 - Q(Q-1) err = "
             f"{rat_str(gap)}; proxy level {proxy_level} is too shallow for Q = F_{st.n} = {q}"
         )
-    budget = ErrorBudget(
-        x_max=q - 1,
-        product_error=(q - 1) * err,
-    )
+    budget = ErrorBudget(x_max=q - 1, product_error=(q - 1) * err)
     report = bound_report(
         f"littlewood-lower-bound[level={level}, proxy={proxy_level}]",
         lhs,
@@ -263,8 +259,7 @@ def littlewood_lower_bound(
             f"product drift <= {rat_str(budget.product_error)}"
         ),
     )
-    record = MinRecord(n=st.n, a=st.a, x_min=best_x, value=best, scaled=lhs)
-    return LittlewoodResult(report=report, budget=budget, record=record)
+    return LittlewoodResult(report=report, budget=budget)
 
 
 # ---- star discrepancy ----

@@ -215,11 +215,11 @@ def _cmd_littlewood(args) -> int:
     cert = nest.certificate_from_json(args.cert.read_text(encoding="utf-8"))
     with _int_text_unlimited():
         # a bound is certified only from a certificate that passes verification
-        verification = nest.verify_certificate(cert)
-        if not verification.passed:
+        verification, verified = nest.verify(cert)
+        if verified is None:
             _emit(_render(verification, args.format), args.out)
             return 1
-        result = bounds.littlewood_lower_bound(cert, args.level, args.proxy)
+        result = bounds.littlewood_lower_bound(verified, args.level, args.proxy)
         _emit(_render(result.report, args.format), args.out)
     return 0 if result.report.passed else 1
 

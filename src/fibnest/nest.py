@@ -136,12 +136,12 @@ def build(
         while True:
             if n_try - first_tried > MAX_INDEX_STEPS:
                 raise DepthUnreachable(nu + 1, n_try - 1)
-            witness = find_witness(n_try, target_i, target_j, strategy)
-            if witness is not None:
+            a = find_witness(n_try, target_i, target_j, strategy)
+            if a is not None:
                 break
             n_try += 1
 
-        stages.append(_stage(nu + 1, Box(n_try, witness.a, SCHEDULES[schedule](nu + 1))))
+        stages.append(_stage(nu + 1, Box(n_try, a, SCHEDULES[schedule](nu + 1))))
 
     return Certificate(schedule=schedule, policy=strategy, stages=tuple(stages))
 
@@ -191,6 +191,8 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
     denominators."""
     stages = cert.stages
     seed = stages[0]
+    boxes = [st.box for st in stages]
+    widths = [box.width for box in boxes]  # the window checks and the localize radii
     items = [
         equality_report(
             "seed-windows",
@@ -201,7 +203,7 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
         equality_report("seed-delta", seed.delta, _ONE),
     ]
 
-    for prev, st in zip(stages, stages[1:]):
+    for prev, st, box, width in zip(stages, stages[1:], boxes[1:], widths[1:]):
         tag = f"stage{st.nu}"
         fn = fib(st.n)
         items.append(
@@ -238,11 +240,9 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
                 witness=st.a,
             )
         )
-        box = st.box
         alpha, beta = box.point
         items.append(equality_report(f"{tag}-alpha-def", st.alpha, alpha))
         items.append(equality_report(f"{tag}-beta-def", st.beta, beta))
-        width = box.width
         items.append(
             equality_report(
                 f"{tag}-window-I",
@@ -279,7 +279,7 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
     # two-sided localization between every pair of levels: the deeper
     # stage point approximates within delta_mu / F_{n_mu}^2
     for mu in range(1, len(stages)):
-        shallow, radius = stages[mu], stages[mu].box.width
+        shallow, radius = stages[mu], widths[mu]
         for nu in range(mu + 1, len(stages)):
             deep = stages[nu]
             drift = Fraction(
@@ -299,6 +299,21 @@ def verify_certificate(cert: Certificate) -> ReportBundle:
 
     return ReportBundle(name=f"certificate[{cert.schedule}, depth={cert.depth}]",
                         items=tuple(items))
+
+
+@dataclass(frozen=True)
+class Verified:
+    """A certificate that passed verify_certificate; only verify makes one,
+    so a certified bound that takes a Verified rests on every check."""
+
+    cert: Certificate
+
+
+def verify(cert: Certificate) -> tuple[ReportBundle, Verified | None]:
+    """verify_certificate's report, and the certificate as Verified when
+    every check passes, None otherwise."""
+    bundle = verify_certificate(cert)
+    return bundle, Verified(cert) if bundle.passed else None
 
 
 # ---- serialization ----

@@ -1,28 +1,27 @@
 """Witness search for coprime numerator placement.
 
 Given an index n and two target windows, find a with 1 <= a < F_n and
-gcd(a, F_n) = 1 whose witness point (lattice.witness_point) lies in I x J.
-Both strategies ask one exact solver, lattice.first_hit, for the first
-lattice point in a box; a box the size of a build's target crosses a few
-lines of the lattice's reduced basis, so a miss costs a few big-integer
-divisions. The boxes are integer ranges formed from the windows'
-numerators and denominators, with no Fraction arithmetic. find_brute is
-that search, exhaustive at every index; find_two_scale is a policy on it:
-a smaller box, then a coprime repair, with its result re-verified exactly.
-find_witness takes the strategy by name, or "auto", which picks by
-candidate count.
+gcd(a, F_n) = 1 whose witness point (lattice.witness_point) lies in I x J;
+each search returns that integer a, or None. Both strategies ask one
+exact solver, lattice.first_hit, for the first lattice point in a box; a
+box the size of a build's target crosses a few lines of the lattice's
+reduced basis, so a miss costs a few big-integer divisions. The boxes
+are integer ranges formed from the windows' numerators and denominators,
+with no Fraction arithmetic. find_brute is that search, exhaustive at
+every index; find_two_scale is a policy on it: a smaller box, then a
+coprime repair, with its result re-checked exactly. find_witness takes
+the strategy by name, or "auto", which picks by candidate count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import Rat, UnitInterval
+from .exact import UnitInterval
 from .fib import fib
-from .lattice import first_hit, hits, integer_range, witness_point
-from .report import ReportBundle, bound_report, equality_report, membership_report
+from .lattice import first_hit, hits, integer_range, rotate, witness_point
+from .report import ReportBundle, bound_report, membership_report
 
 STRATEGIES = ("auto", "brute", "two_scale")
 
@@ -38,15 +37,6 @@ class RangeTooLarge(RuntimeError):
 
 class TwoScaleExhausted(RuntimeError):
     """Stage 2 found no coprime a0 + j*F_{k*} inside I."""
-
-
-@dataclass(frozen=True)
-class LemmaWitness:
-    n: int
-    a: int
-    alpha_n: Rat
-    beta_n: Rat
-    strategy_used: str
 
 
 def select_kstar(n: int) -> int:
@@ -69,12 +59,7 @@ def candidate_count(n: int, region: UnitInterval) -> int:
     return max(0, hi - max(lo, 1) + 1)
 
 
-def _make_witness(n: int, a: int, strategy: str) -> LemmaWitness:
-    alpha, beta = witness_point(n, a)
-    return LemmaWitness(n=n, a=a, alpha_n=alpha, beta_n=beta, strategy_used=strategy)
-
-
-def find_brute(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
+def find_brute(n: int, I: UnitInterval, J: UnitInterval) -> int | None:
     """Exhaustive search: the smallest qualifying a, or None if none exists.
     It walks lattice.hits, the positions whose residue lands in J, up to
     the first one coprime to F_n, so no range is too large to search."""
@@ -83,11 +68,11 @@ def find_brute(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
     fn = fib(n)
     for a in hits(n, I, J):
         if math.gcd(a, fn) == 1:
-            return _make_witness(n, a, "brute")
+            return a
     return None
 
 
-def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | None:
+def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> int | None:
     """Two-scale search; None when stage 1 finds no position or the result
     fails the final exact check.
 
@@ -95,7 +80,12 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | N
     lies in the middle third of J (lattice.first_hit). Stage 2 restores
     coprimality with a = a0 + j*F_{k*}; it never moves a past the right end
     of I and raises TwoScaleExhausted when no such j is left. Drift of the
-    fractional part is caught by the final exact verification.
+    fractional part is caught by the final exact check, in integers:
+    integer_range gives exactly the k < F_n with k/F_n in a window, so beta
+    is in J exactly when r_lo <= F_{n-1} a mod F_n <= r_hi, and alpha is in
+    I exactly when a_lo <= a <= a_end < F_n. Here a >= a0 >= a_lo, and
+    a >= 1 since gcd(0, F_n) = F_n > 1 moves a0 = 0, so a <= a_end is
+    the rest.
     """
     if n < 4:
         raise ValueError(f"find_two_scale needs n >= 4, got {n}")
@@ -133,17 +123,11 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> LemmaWitness | N
                 f"no coprime adjustment within j <= {budget} at n={n}"
             )
 
-    if not 1 <= a < fn:
-        return None
-    witness = _make_witness(n, a, "two_scale")
-    if witness.alpha_n in I and witness.beta_n in J:
-        return witness
-    return None
+    r_lo, r_hi = integer_range(n, J)
+    return a if a <= a_end and r_lo <= rotate(n, a) <= r_hi else None
 
 
-def find_witness(
-    n: int, I: UnitInterval, J: UnitInterval, strategy: str = "auto"
-) -> LemmaWitness | None:
+def find_witness(n: int, I: UnitInterval, J: UnitInterval, strategy: str = "auto") -> int | None:
     """Strategy dispatch. auto searches exhaustively up to AUTO_BRUTE_MAX
     candidate positions and uses the two-scale search beyond."""
     if strategy not in STRATEGIES:
@@ -158,28 +142,26 @@ def find_witness(
         return None
 
 
-def verify_witness(w: LemmaWitness, I: UnitInterval, J: UnitInterval) -> ReportBundle:
-    """Re-derive both coordinates from (n, a) and check every condition."""
-    fn = fib(w.n)
-    alpha, beta = witness_point(w.n, w.a)
+def verify_witness(n: int, a: int, I: UnitInterval, J: UnitInterval) -> ReportBundle:
+    """Derive both coordinates from (n, a) and check every condition."""
+    fn = fib(n)
+    alpha, beta = witness_point(n, a)
     items = (
         bound_report(
             "a-range",
-            Fraction(min(w.a - 1, fn - 1 - w.a)),
+            Fraction(min(a - 1, fn - 1 - a)),
             Fraction(0),
-            witness=w.a,
-            notes=f"1 <= a < F_{w.n} = {fn}",
+            witness=a,
+            notes=f"1 <= a < F_{n} = {fn}",
         ),
         bound_report(
             "coprime",
             Fraction(1),
-            Fraction(math.gcd(w.a, fn)),
-            witness=w.a,
-            notes=f"gcd(a, F_{w.n})",
+            Fraction(math.gcd(a, fn)),
+            witness=a,
+            notes=f"gcd(a, F_{n})",
         ),
         membership_report("alpha-in-I", alpha, I),
         membership_report("beta-in-J", beta, J),
-        equality_report("alpha-consistent", w.alpha_n, alpha),
-        equality_report("beta-consistent", w.beta_n, beta),
     )
-    return ReportBundle(name=f"witness[n={w.n}, a={w.a}]", items=items)
+    return ReportBundle(name=f"witness[n={n}, a={a}]", items=items)

@@ -106,8 +106,8 @@ def test_criterion_5_construction_soundness(tmp_path, capsys):
     print("criterion 5: PASS (depth-3 build verified, re-run byte-identical)")
 
 
-def test_criterion_6_certified_littlewood_bound(cert3):
-    res = littlewood_lower_bound(cert3, 1, 3)
+def test_criterion_6_certified_littlewood_bound(verified3):
+    res = littlewood_lower_bound(verified3, 1, 3)
     assert res.report.lhs >= Fraction(37, 100)
     assert (Quad.of(res.report.lhs) - GOLDEN_INV_SQ).sign() > 0
     # the drift lowers the bound strictly below the stage's exact minimum
@@ -125,15 +125,15 @@ def test_criterion_7_search_route_agreement():
         lo_j = Fraction(rng.randint(0, 19 * 50), 20 * 50)
         target_i = UnitInterval(lo_i, lo_i + eta)
         target_j = UnitInterval(lo_j, lo_j + eta)
-        witness = find_brute(n, target_i, target_j)
-        assert witness is not None, (n, target_i, target_j)
-        assert verify_witness(witness, target_i, target_j).passed
+        a = find_brute(n, target_i, target_j)
+        assert a is not None, (n, target_i, target_j)
+        assert verify_witness(n, a, target_i, target_j).passed
         try:
             other = find_two_scale(n, target_i, target_j)
         except TwoScaleExhausted:
             other = None
         if other is not None:
-            assert verify_witness(other, target_i, target_j).passed
+            assert verify_witness(n, other, target_i, target_j).passed
             two_scale_hits += 1
     print(f"criterion 7: PASS (100 brute witnesses verified, {two_scale_hits} two_scale agreements)")
 

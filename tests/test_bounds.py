@@ -27,9 +27,9 @@ from fibnest.bounds import (
     star_discrepancy,
     star_discrepancy_of_points,
 )
-from fibnest.exact import UnitInterval, dist_int
+from fibnest.exact import UnitInterval, dist_int, rat_str
 from fibnest.fib import fib
-from fibnest.nest import Certificate, Stage, build, seed_stage
+from fibnest.nest import Certificate, Stage, Verified, build, seed_stage, verify
 from fibnest.report import bound_report
 from fibnest.surd import GOLDEN_INV_SQ, Quad
 
@@ -253,8 +253,8 @@ def test_convergent_gap_validation():
 # ---- littlewood lower bound ----
 
 
-def test_littlewood_deep_proxy(cert3):
-    res = littlewood_lower_bound(cert3, 1, 3)
+def test_littlewood_deep_proxy(verified3):
+    res = littlewood_lower_bound(verified3, 1, 3)
     assert res.report.passed
     assert res.report.lhs >= Fraction(37, 100)
     assert (Quad.of(res.report.lhs) - GOLDEN_INV_SQ).sign() > 0
@@ -264,39 +264,45 @@ def test_littlewood_deep_proxy(cert3):
     assert "Q = F_5 = 5" in res.report.notes
 
 
-def test_littlewood_monotone_in_proxy(cert3):
-    shallow = littlewood_lower_bound(cert3, 1, 2).report.lhs
-    deep = littlewood_lower_bound(cert3, 1, 3).report.lhs
+def test_littlewood_monotone_in_proxy(verified3):
+    shallow = littlewood_lower_bound(verified3, 1, 2).report.lhs
+    deep = littlewood_lower_bound(verified3, 1, 3).report.lhs
     ideal = min_product(5, 2).scaled
     assert shallow == Fraction(611153748066852, 1527885025695605)
     assert shallow < deep < ideal
 
 
-def test_littlewood_zero_error_matches_scan(cert3):
+def test_littlewood_zero_error_matches_scan(verified3):
     # the drift-free bound at a stage is min_product at its witness (n, a)
     for level, exact in ((1, Fraction(2, 5)), (2, Fraction(1597, 4181))):
-        st = cert3.stages[level]
+        st = verified3.cert.stages[level]
         assert min_product(st.n, st.a).scaled == exact
-        assert littlewood_lower_bound(cert3, level, 3).report.lhs < exact
+        assert littlewood_lower_bound(verified3, level, 3).report.lhs < exact
 
 
-def test_littlewood_level_two(cert3):
-    res = littlewood_lower_bound(cert3, 2, 3)
+def test_littlewood_level_two(verified3):
+    res = littlewood_lower_bound(verified3, 2, 3)
     assert res.report.passed
-    assert res.record.n == 19
+    assert "Q = F_19 = 4181," in res.report.notes
 
 
-def test_littlewood_validation(cert3):
-    with pytest.raises(ValueError):
-        littlewood_lower_bound(cert3, 0, 2)
-    with pytest.raises(ValueError):
-        littlewood_lower_bound(cert3, 1, 1)  # the proxy must be deeper
-    with pytest.raises(ValueError):
-        littlewood_lower_bound(cert3, 1, 4)
-    with pytest.raises(ValueError):
-        littlewood_lower_bound(cert3, 3, 3)
+def test_littlewood_validation(verified3):
+    with pytest.raises(ValueError, match=r"level must be in \[1, 3\], got 0"):
+        littlewood_lower_bound(verified3, 0, 2)
+    with pytest.raises(ValueError, match=r"proxy_level must be in \[2, 3\], got 1"):
+        littlewood_lower_bound(verified3, 1, 1)  # the proxy must be deeper
+    with pytest.raises(ValueError, match=r"proxy_level must be in \[2, 3\], got 4"):
+        littlewood_lower_bound(verified3, 1, 4)
+    with pytest.raises(ValueError, match="level 3 is the deepest stage: no deeper stage"):
+        littlewood_lower_bound(verified3, 3, 3)
+    _, seed_only = verify(Certificate(schedule="pow2", policy="auto", stages=(seed_stage(),)))
+    with pytest.raises(ValueError, match="no stage beyond the seed"):
+        littlewood_lower_bound(seed_only, 1, 2)
+    # even a valid certificate is refused until verify has passed it
+    with pytest.raises(TypeError, match=r"Verified certificate from nest\.verify, got Certificate"):
+        littlewood_lower_bound(verified3.cert, 1, 3)
     # F_82 points: no scan and no cap, the candidate minimum is exact
-    assert min_product(82, cert3.stages[3].a).scaled == Fraction(fib(80), fib(82))
+    assert min_product(82, verified3.cert.stages[3].a).scaled == Fraction(fib(80), fib(82))
 
 
 def test_littlewood_proxy_too_shallow(cert1):
@@ -312,27 +318,36 @@ def test_littlewood_proxy_too_shallow(cert1):
         J=UnitInterval(Fraction(0), Fraction(1, 4)),
     )
     shallow = Certificate(schedule="pow2", policy="auto", stages=cert1.stages + (fake,))
+    # neither certificate here can verify, so each is wrapped in Verified
+    # directly to reach the refusal
     with pytest.raises(ProxyTooShallow):
-        littlewood_lower_bound(shallow, 1, 2)
+        littlewood_lower_bound(Verified(shallow), 1, 2)
     # the gap rule also refuses proxies that err (Q - 1) >= 1/2 let through:
     # at n = 12 the candidate minimum is 137/450, the gap 1/2 - 1/5
     q = fib(12)
     assert Fraction(1, 5 * q) < Fraction(1, 2)
+    synthetic = synthetic_certificate(12, 1, Fraction(1, 5 * q * (q - 1)))
     with pytest.raises(ProxyTooShallow, match="137/450 is not below .* 3/10"):
-        littlewood_lower_bound(synthetic_certificate(12, 1, Fraction(1, 5 * q * (q - 1))), 1, 2)
-    # a level stage must be a witness: n = 2 is below the n >= 3 floor
-    deeper = Certificate(schedule="pow2", policy="auto", stages=shallow.stages + (fake,))
-    with pytest.raises(ValueError, match="n >= 3"):
-        littlewood_lower_bound(deeper, 2, 3)
+        littlewood_lower_bound(Verified(synthetic), 1, 2)
+    # a level stage must be a witness: at n = 2 no a fits 1 <= a < F_2 = 1,
+    # so verify refuses the certificate and no bound can be formed
+    bundle, verified = verify(dataclasses.replace(shallow, stages=shallow.stages + (fake,)))
+    assert verified is None
+    failing = {item.name for item in bundle.items if not item.passed}
+    assert {"stage2-a-range", "stage2-n-increasing"} <= failing
 
 
-def test_littlewood_requires_stage_witness(cert1):
-    st = cert1.stages[1]
+def test_littlewood_requires_stage_witness(cert3):
+    # the level stage's point is checked once, by the verifier: verify
+    # rejects a moved alpha or beta at alpha-def / beta-def, so no bound is
+    # formed
+    st = cert3.stages[1]
     for field, value in (("alpha", st.alpha + Fraction(1, 100)), ("beta", st.beta / 2)):
         bad = dataclasses.replace(st, **{field: value})
-        cert = Certificate(schedule="pow2", policy="auto", stages=(cert1.stages[0], bad, bad))
-        with pytest.raises(ValueError, match="alpha and beta"):
-            littlewood_lower_bound(cert, 1, 2)
+        cert = dataclasses.replace(cert3, stages=(cert3.stages[0], bad, *cert3.stages[2:]))
+        bundle, verified = verify(cert)
+        assert verified is None
+        assert f"stage1-{field}-def" in {item.name for item in bundle.items if not item.passed}
 
 
 def scan_littlewood(n, a, err):
@@ -353,7 +368,8 @@ def scan_littlewood(n, a, err):
 def synthetic_certificate(n, a, err):
     """Seed, a level-1 witness (n, a), and a level-2 proxy stage with n = 1,
     so its window width delta/F_1^2 is err itself. Not a verifiable
-    certificate; littlewood_lower_bound reads only the two stages."""
+    certificate, so tests wrap it in Verified directly; littlewood_lower_bound
+    reads only the two stages."""
     q = fib(n)
     alpha, beta = Fraction(a, q), Fraction(fib(n - 1) * a % q, q)
     point_i, point_j = UnitInterval(alpha, alpha), UnitInterval(beta, beta)
@@ -384,21 +400,23 @@ def test_littlewood_matches_scan(n, seed, t):
     err = t / (q * (q - 1))
     lhs, x_min = scan_littlewood(n, a, err)
     try:
-        res = littlewood_lower_bound(synthetic_certificate(n, a, err), 1, 2)
+        # arbitrary (n, a, err) need a synthetic, unverifiable certificate
+        res = littlewood_lower_bound(Verified(synthetic_certificate(n, a, err)), 1, 2)
     except ProxyTooShallow:
         # refused only when no point of the scan gets below the gap
         assert t > 0 and lhs >= Fraction(1, 2) - t
         return
     assert (res.report.lhs, res.report.witness) == (lhs, x_min)
-    assert res.record.value == lhs / q
+    assert f"Q = F_{n} = {q}, err = {rat_str(err)}," in res.report.notes
 
 
 @pytest.mark.parametrize("schedule", ["pow2", "inv"])
 def test_littlewood_every_level(schedule):
     # Q * min_product(n, a) = F_{n-2}/F_n, above 2/(3+sqrt5) only for odd n
     cert = build(depth=4, schedule=schedule)
+    _, verified = verify(cert)
     for level in range(1, 4):
-        res = littlewood_lower_bound(cert, level, level + 1)
+        res = littlewood_lower_bound(verified, level, level + 1)
         n = cert.stages[level].n
         assert res.report.lhs <= Fraction(fib(n - 2), fib(n))
         assert res.report.passed == (n % 2 == 1)

@@ -383,6 +383,25 @@ def test_littlewood_proxy_must_be_deeper(tmp_path, capsys, cert3):
     assert stderr == "error: proxy_level must be in [2, 3], got 1\n"
 
 
+FIXTURE = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures" / "pow2-5.json"
+
+
+def test_littlewood_deepest_level_has_no_proxy(capsys):
+    code, stdout, stderr = run(capsys, "littlewood", "--cert", str(FIXTURE), "--level", "4", "--proxy", "5")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: level 4 is the deepest stage: no deeper stage is left to act as proxy\n"
+
+
+def test_littlewood_seed_only_certificate_has_no_level(tmp_path, capsys):
+    payload = json.loads(FIXTURE.read_text())
+    payload["stages"] = payload["stages"][:1]
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, stderr = run(capsys, "littlewood", "--cert", str(path), "--level", "1", "--proxy", "2")
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: the certificate has no stage beyond the seed to bound\n"
+
+
 @pytest.mark.parametrize("schedule, code", [("pow2", 1), ("inv", 0)])
 def test_littlewood_level_three(tmp_path, capsys, schedule, code):
     # level 3 is n = 82 (pow2) or n = 77 (inv): only an odd index can beat

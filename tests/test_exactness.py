@@ -1,9 +1,13 @@
-"""The exactness invariant, checked on the source: no float decides a verdict.
+"""Invariants checked on the source.
 
-Every float(...) call, math.log/sqrt/exp use and float literal in
-src/fibnest must lie inside bounds.star_discrepancy, whose logarithmic
-cap is the one documented exception (a rational snapshot of
-cap * ln(count + 1), recorded in the notes).
+Exactness: no float decides a verdict. Every float(...) call,
+math.log/sqrt/exp use and float literal in src/fibnest must lie inside
+bounds.star_discrepancy, whose logarithmic cap is the one documented
+exception (a rational snapshot of cap * ln(count + 1), recorded in the
+notes).
+
+Trust: a certified bound takes a nest.Verified, and only nest.verify makes
+one, after verify_certificate passes.
 """
 
 import ast
@@ -57,6 +61,34 @@ def test_floats_only_in_star_discrepancy():
                 stray.append(f"{path.name}:{line} {what} in {owner or 'module scope'}")
     assert stray == []
     assert allowed_hits > 0  # the exception is still where this test says it is
+
+
+def _constructions(tree: ast.AST, name: str):
+    """Yield the enclosing top-level function (or None) of every call to
+    `name` or `<anything>.name` in a module."""
+
+    def visit(node: ast.AST, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner is None:
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                yield owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def test_only_verify_makes_verified():
+    makers = [
+        (path.name, owner)
+        for path in sorted(SRC.glob("*.py"))
+        for owner in _constructions(ast.parse(path.read_text(), str(path)), "Verified")
+    ]
+    assert makers == [("nest.py", "verify")]
 
 
 def test_all_exports_resolve():

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fibnest import nest
+from fibnest.bounds import littlewood_lower_bound
 from fibnest.cli import _int_text_unlimited
 from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
@@ -19,11 +20,13 @@ from fibnest.nest import (
     SCHEDULES,
     Certificate,
     DepthUnreachable,
+    Verified,
     _rational,
     build,
     certificate_from_json,
     certificate_to_json,
     seed_stage,
+    verify,
     verify_certificate,
 )
 from fibnest.report import BoundReport, ReportBundle, bundle_to_text, flatten, to_csv, to_json
@@ -448,6 +451,26 @@ def test_verify_matches_fraction_oracle_on_fixture_corruptions(name):
                 cert = certificate_from_json(json.dumps(corrupt_payload(payload, stage, field, step)))
                 rejected += not assert_matches_oracle(cert).passed
     assert rejected == 4 * len(FIELDS) * 2
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_makes_a_verified_of_each_fixture(name):
+    cert = certificate_from_json((FIXTURE_DIR / f"{name}.json").read_text())
+    bundle, verified = verify(cert)
+    assert bundle == verify_certificate(cert) and bundle.passed
+    assert isinstance(verified, Verified) and verified.cert is cert
+
+
+def test_verify_refuses_a_forged_fixture():
+    # one field forged: stage 2's a moved by one, its point and windows kept
+    payload = json.loads((FIXTURE_DIR / "pow2-5.json").read_text())
+    payload["stages"][2]["a"] = str(int(payload["stages"][2]["a"]) + 1)
+    cert = certificate_from_json(json.dumps(payload))
+    bundle, verified = verify(cert)
+    assert not bundle.passed and verified is None
+    # the certificate is no Verified, so no bound can be formed from it
+    with pytest.raises(TypeError, match=r"nest\.verify"):
+        littlewood_lower_bound(cert, 1, 2)
 
 
 def test_verify_catches_shrunk_delta_violation(cert1):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
-from fibnest.lattice import _first_multiple_in_window, first_hit, integer_range, rotate, steps
+from fibnest.lattice import _first_multiple_in_window, first_hit, integer_range, rotate, steps, witness_point
 from fibnest.search import (
-    LemmaWitness,
     TwoScaleExhausted,
     candidate_count,
     find_brute,
@@ -93,12 +92,8 @@ def test_config_validation():
 
 
 def test_brute_whole_space():
-    w = find_brute(6, FULL_INTERVAL, FULL_INTERVAL)
-    assert w is not None
-    assert (w.n, w.a) == (6, 1)
-    assert w.alpha_n == Fraction(1, 8)
-    assert w.beta_n == Fraction(5, 8)
-    assert w.strategy_used == "brute"
+    assert find_brute(6, FULL_INTERVAL, FULL_INTERVAL) == 1
+    assert witness_point(6, 1) == (Fraction(1, 8), Fraction(5, 8))
 
 
 def test_brute_three_candidate_miss():
@@ -123,9 +118,8 @@ def test_brute_returns_smallest_a():
     # at n=19 in these windows the candidates 1673, 1674 miss and 1675 hits
     I = UnitInterval(Fraction(2, 5), Fraction(41, 100))
     J = UnitInterval(Fraction(1, 5), Fraction(21, 100))
-    w = find_brute(19, I, J)
-    assert w is not None and w.a == 1675
-    assert w.beta_n == Fraction(865, 4181)
+    assert find_brute(19, I, J) == 1675
+    assert witness_point(19, 1675)[1] == Fraction(865, 4181)
 
 
 # ---- first-hit solver ----
@@ -268,11 +262,10 @@ def brute_problems(draw):
 @example((21, UnitInterval(Fraction(1, 4), Fraction(1, 2)), UnitInterval(Fraction(3, 7), Fraction(1, 2))))
 def test_brute_matches_linear_oracle(problem):
     n, I, J = problem
-    w = find_brute(n, I, J)
-    expect = linear_find_brute(n, I, J)
-    assert (None if w is None else w.a) == expect
-    if w is not None:
-        assert verify_witness(w, I, J).passed
+    a = find_brute(n, I, J)
+    assert a == linear_find_brute(n, I, J)
+    if a is not None:
+        assert verify_witness(n, a, I, J).passed
 
 
 @pytest.mark.parametrize("n", [6, 9, 12, 15, 18, 21])
@@ -289,8 +282,7 @@ def test_brute_requeries_past_non_coprime_hits(n):
         first_hit = next(
             (a for a in range(lo_a, fn) if J.lo * fn <= (step * a) % fn <= J.hi * fn), None
         )
-        w = find_brute(n, I, J)
-        assert (None if w is None else w.a) == linear_find_brute(n, I, J)
+        assert find_brute(n, I, J) == linear_find_brute(n, I, J)
         if first_hit is not None and math.gcd(first_hit, fn) != 1:
             requeried += 1
     assert requeried > 0
@@ -303,11 +295,11 @@ def test_brute_reaches_n2000_with_narrow_windows():
     eta = Fraction(1, 10**200)
     I = interval_at(Fraction(1, 3), eta)
     J = interval_at(Fraction(2, 3), eta)
-    w = find_brute(n, I, J)
-    assert w is not None and w.strategy_used == "brute"
-    assert verify_witness(w, I, J).passed
+    a = find_brute(n, I, J)
+    assert a is not None
+    assert verify_witness(n, a, I, J).passed
     # nothing qualifies strictly below the witness
-    below = UnitInterval(I.lo, Fraction(w.a - 1, fib(n)))
+    below = UnitInterval(I.lo, Fraction(a - 1, fib(n)))
     assert find_brute(n, below, J) is None
 
 
@@ -315,9 +307,7 @@ def test_brute_reaches_n2000_with_narrow_windows():
 
 
 def test_two_scale_whole_space_degenerate():
-    w = find_two_scale(6, FULL_INTERVAL, FULL_INTERVAL)
-    assert w is not None and w.a == 1
-    assert w.strategy_used == "two_scale"
+    assert find_two_scale(6, FULL_INTERVAL, FULL_INTERVAL) == 1
 
 
 def test_two_scale_empty_position_range():
@@ -351,21 +341,19 @@ def _windows_starting_at(n: int, a0: int, eta: Fraction):
 def test_two_scale_coprimality_repair_single_step():
     # stage-1 position 37 shares a factor with F_19 = 37*113; one F_10 step fixes it
     I, J = _windows_starting_at(19, 37, Fraction(1, 20))
-    w = find_two_scale(19, I, J)
-    assert w is not None
-    assert w.a == 37 + fib(10)
-    assert math.gcd(w.a, fib(19)) == 1
-    assert verify_witness(w, I, J).passed
+    a = find_two_scale(19, I, J)
+    assert a == 37 + fib(10)
+    assert math.gcd(a, fib(19)) == 1
+    assert verify_witness(19, a, I, J).passed
 
 
 def test_two_scale_coprimality_repair_multi_step():
     # a0 = 2 shares a factor with F_21; three F_11 steps restore coprimality
     I, J = _windows_starting_at(21, 2, Fraction(1, 20))
-    w = find_two_scale(21, I, J)
-    assert w is not None
-    assert w.a == 2 + 3 * fib(11)
-    assert math.gcd(w.a, fib(21)) == 1
-    assert verify_witness(w, I, J).passed
+    a = find_two_scale(21, I, J)
+    assert a == 2 + 3 * fib(11)
+    assert math.gcd(a, fib(21)) == 1
+    assert verify_witness(21, a, I, J).passed
 
 
 @st.composite
@@ -396,10 +384,13 @@ def test_two_scale_integer_windows_match_fraction_windows(problem):
         assert integer_range(n, span) == (math.ceil(span.lo * fn), min(math.floor(span.hi * fn), fn - 1))
     with mock.patch("fibnest.search.first_hit", wraps=first_hit) as spy:
         try:
-            find_two_scale(n, I, J)
+            a = find_two_scale(n, I, J)
         except TwoScaleExhausted:
-            pass
+            a = None
     spy.assert_called_once_with(n, *integer_range(n, half), *integer_range(n, third))
+    # the final integer check admits only witnesses that verify in Fractions
+    if a is not None:
+        assert verify_witness(n, a, I, J).passed
 
 
 # ---- step identity (lattice.steps) ----
@@ -420,58 +411,59 @@ def test_residue_step_identity(n):
 # ---- find_witness dispatch ----
 
 
+# on these windows the two strategies return different witnesses at every
+# index below, so each dispatch shows which route answered
+SPLIT_I = UnitInterval(Fraction(1, 4), Fraction(1))
+SPLIT_J = UnitInterval(Fraction(0), Fraction(3, 4))
+
+
 def test_auto_uses_brute_when_feasible():
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL)
-    assert w is not None and w.strategy_used == "brute"
+    assert (find_brute(6, SPLIT_I, SPLIT_J), find_two_scale(6, SPLIT_I, SPLIT_J)) == (5, 7)
+    assert find_witness(6, SPLIT_I, SPLIT_J) == 5
 
 
 def test_auto_switches_beyond_cap():
-    # the crossover sits between F_35 - 1 and F_36 - 1 candidate positions
+    # the crossover sits between F_35 - 1 and F_36 - 1 candidate positions,
+    # and I keeps 3/4 of them
     assert candidate_count(35, FULL_INTERVAL) == 9_227_464
-    w = find_witness(35, FULL_INTERVAL, FULL_INTERVAL)
-    assert w is not None and w.strategy_used == "brute"
-    assert candidate_count(36, FULL_INTERVAL) == 14_930_351
-    w = find_witness(36, FULL_INTERVAL, FULL_INTERVAL)
-    assert w is not None and w.strategy_used == "two_scale"
+    brute, two_scale = find_brute(35, SPLIT_I, SPLIT_J), find_two_scale(35, SPLIT_I, SPLIT_J)
+    assert brute != two_scale
+    assert find_witness(35, SPLIT_I, SPLIT_J) == brute
+    assert candidate_count(36, SPLIT_I) == 11_197_764
+    brute, two_scale = find_brute(36, SPLIT_I, SPLIT_J), find_two_scale(36, SPLIT_I, SPLIT_J)
+    assert brute != two_scale
+    assert find_witness(36, SPLIT_I, SPLIT_J) == two_scale
 
 
 def test_forced_strategies():
-    w = find_witness(6, FULL_INTERVAL, FULL_INTERVAL, "two_scale")
-    assert w is not None and w.strategy_used == "two_scale"
+    assert find_witness(6, SPLIT_I, SPLIT_J, "two_scale") == find_two_scale(6, SPLIT_I, SPLIT_J) == 7
     # brute is exhaustive at any index, far past auto's crossover
-    w = find_witness(40, FULL_INTERVAL, FULL_INTERVAL, "brute")
-    assert w is not None and (w.a, w.strategy_used) == (1, "brute")
+    for n in (6, 40):
+        brute = find_brute(n, SPLIT_I, SPLIT_J)
+        assert brute != find_two_scale(n, SPLIT_I, SPLIT_J)
+        assert find_witness(n, SPLIT_I, SPLIT_J, "brute") == brute
 
 
 # ---- verify_witness ----
 
 
 def test_verify_witness_pass():
-    w = LemmaWitness(n=6, a=1, alpha_n=Fraction(1, 8), beta_n=Fraction(5, 8), strategy_used="manual")
-    rep = verify_witness(w, FULL_INTERVAL, FULL_INTERVAL)
+    rep = verify_witness(6, 1, FULL_INTERVAL, FULL_INTERVAL)
     assert rep.passed
-    assert len(rep.items) == 6
+    assert [item.name for item in rep.items] == ["a-range", "coprime", "alpha-in-I", "beta-in-J"]
 
 
 def test_verify_witness_gcd_failure():
-    w = LemmaWitness(n=6, a=2, alpha_n=Fraction(2, 8), beta_n=Fraction(2, 8), strategy_used="manual")
-    rep = verify_witness(w, FULL_INTERVAL, FULL_INTERVAL)
+    rep = verify_witness(6, 2, FULL_INTERVAL, FULL_INTERVAL)
     assert not rep.passed
     failing = [item.name for item in rep.items if not item.passed]
     assert failing == ["coprime"]
 
 
 def test_verify_witness_membership_failure():
-    w = LemmaWitness(n=6, a=1, alpha_n=Fraction(1, 8), beta_n=Fraction(5, 8), strategy_used="manual")
-    rep = verify_witness(w, UnitInterval(Fraction(1, 2), Fraction(1)), FULL_INTERVAL)
+    rep = verify_witness(6, 1, UnitInterval(Fraction(1, 2), Fraction(1)), FULL_INTERVAL)
     assert not rep.passed
     assert any(item.name == "alpha-in-I" and not item.passed for item in rep.items)
-
-
-def test_verify_witness_catches_tampered_values():
-    w = LemmaWitness(n=6, a=1, alpha_n=Fraction(1, 8), beta_n=Fraction(3, 8), strategy_used="manual")
-    rep = verify_witness(w, FULL_INTERVAL, FULL_INTERVAL)
-    assert any(item.name == "beta-consistent" and not item.passed for item in rep.items)
 
 
 # ---- randomized agreement ----
@@ -484,12 +476,12 @@ def test_random_windows_brute_succeeds_and_verifies():
         n = rng.randint(18, 24)
         I = interval_at(Fraction(rng.randint(0, 19 * 50), 20 * 50), eta)
         J = interval_at(Fraction(rng.randint(0, 19 * 50), 20 * 50), eta)
-        w = find_brute(n, I, J)
-        assert w is not None
-        assert verify_witness(w, I, J).passed
+        a = find_brute(n, I, J)
+        assert a is not None
+        assert verify_witness(n, a, I, J).passed
         try:
             g = find_two_scale(n, I, J)
         except TwoScaleExhausted:
             g = None
         if g is not None:
-            assert verify_witness(g, I, J).passed
+            assert verify_witness(n, g, I, J).passed
