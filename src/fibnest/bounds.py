@@ -6,8 +6,9 @@ dist is the distance to the nearest integer. Everything downstream
 compares such minima against the threshold 2/(3+sqrt5) = (3-sqrt5)/2
 exactly. The geometry of the rotation that these use lives in lattice.
 
-No function scans: min_product and littlewood_lower_bound evaluate only
-the 2(n - 2) convergent candidates (lattice.candidate_min),
+No function scans: min_product evaluates the four candidates of two
+convergent indices (lattice.drift_free_min), littlewood_lower_bound the
+2(n - 2) convergent candidates (lattice.candidate_min),
 check_nonconvergent_gap walks out from the nearest numerator of each
 denominator instead of visiting every y/x, and star_discrepancy induces
 the rotation onto shorter arcs, n - 2 integer rounds whatever the point
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 from .exact import Rat, rat_decimal, rat_str
 from .fib import fib, golden_convergent
-from .lattice import candidate_min, cassini_inverse
+from .lattice import candidate_min, cassini_inverse, drift_free_min
 from .nest import Verified
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
@@ -82,11 +83,13 @@ def min_product(n: int, a: int) -> MinRecord:
 
     Requires n >= 3, 1 <= a < F_n and gcd(a, F_n) = 1. Ties break to the
     smallest x. No scan is needed: by Legendre's theorem every minimizer is
-    a convergent candidate (see lattice), so the minimum is candidate_min
-    at err = 0.
+    a convergent candidate, and by the Lucas identity only the indices
+    2, n - 2 and n - 1 reach the minimum F_{n-2}/F_n^2 (see lattice), so
+    drift_free_min evaluates their four candidates: O(M(n)) work for n-digit
+    multiplication M(n), plus one modular inverse.
     """
     fn = _check_witness(n, a)
-    value, x_min = candidate_min(n, a, Fraction(0))
+    value, x_min = drift_free_min(n, a)
     return MinRecord(n=n, a=a, x_min=x_min, value=value, scaled=fn * value)
 
 

@@ -19,7 +19,19 @@ Fibonacci recurrence in k, as (-1)^(k-1) F_{n-k} + (-1)^(k-2) F_{n-k+1} =
   g^2 >= 4), while x = 1 scores F_{n-2}/F_n < 1/2 for n >= 4. By the
   symmetry x -> F_n - x every minimizer is F_k or F_n - F_k, 2 <= k < n,
   and both score near(F_k) near(F_{n-k})/F_n. For general a, x -> a x
-  permutes the nonzero residues: the same minimum, at y a^-1 mod F_n.
+  permutes the nonzero residues: the same minimum, at y a^-1 mod F_n;
+* at err = 0, three of those indices hold it (drift_free_min). Candidate
+  k scores F_k F_{n-k} for 2 <= k <= n - 2 (neither exceeds F_n/2), and
+  k = n - 1 scores near(F_{n-1}) F_1 = F_{n-2}, so k = 2, n - 2 and n - 1
+  all score F_{n-2}. With Lucas numbers L_j = phi^j + psi^j, where
+  L_{-j} = (-1)^j L_j, Binet's formula gives 5 F_k F_{n-k} =
+  L_n - (-1)^k L_{n-2k}. For 3 <= k <= n - 3, |n - 2k| <= n - 6, and
+  L_j < L_{n-4} for 0 <= j <= n - 6 (L_0 = 2 < L_2 = 3, and L_1 < L_2 <
+  ...), so 5 F_k F_{n-k} > L_n - L_{n-4} = 5 F_2 F_{n-2}: every other
+  index scores strictly more. For n <= 5 the three are every index
+  2..n-1. As F_{n-2} = F_n - F_{n-1}, k = n - 2 names the same two
+  residues as k = n - 1. So the minimum is F_{n-2}/F_n^2, attained only
+  at x = y a^-1 mod F_n with y in {+-1, +-F_{n-1}}, four candidates.
 
 Reduced basis: for n >= 3 and k = n // 2, the vectors
 u = (F_k, (-1)^(k-1) F_{n-k}) and v = (F_{k+1}, (-1)^k F_{n-k-1}) lie in
@@ -226,7 +238,8 @@ def candidate_min(n: int, a: int, err: Rat) -> tuple[Rat, int]:
     and near(F_{n-1} y)/Q, the same for y = F_k and Q - F_k. With err Q =
     e_num/e_den each factor is the integer (near(.) e_den - x e_num)+ over
     Q e_den, so the loop compares integers; x_k = F_k a^-1 follows the
-    Fibonacci recurrence mod Q."""
+    Fibonacci recurrence mod Q. At err = 0 drift_free_min gives the same in
+    O(1) products; this walk serves err > 0 and is its test oracle."""
     q = fib(n)
     e = err * q
     e_num, e_den = e.numerator, e.denominator
@@ -242,3 +255,18 @@ def candidate_min(n: int, a: int, err: Rat) -> tuple[Rat, int]:
                 best = (units, cand)
     assert best is not None
     return Fraction(best[0], (q * e_den) ** 2), best[1]
+
+
+def drift_free_min(n: int, a: int) -> tuple[Rat, int]:
+    """candidate_min(n, a, 0) from the indices k = 2 and n - 1 alone (see
+    above): four candidates, each one product of n-digit integers, and one
+    inverse, ties to the smallest x as there."""
+    q = fib(n)
+    inv = pow(a, -1, q)
+    scored = []
+    for k in (2, n - 1):
+        x = fib(k) * inv % q
+        units = near(fib(k), q) * near(fib(n - k), q)
+        scored += [(units, x), (units, q - x)]
+    units, x_min = min(scored)
+    return Fraction(units, q * q), x_min

@@ -30,35 +30,29 @@ class Quad:
     b: Rat
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        for name in ("a", "b"):
+            part = getattr(self, name)
+            if not isinstance(part, Fraction):
+                object.__setattr__(self, name, Fraction(part))
 
     @staticmethod
     def of(value: QuadLike) -> "Quad":
-        if isinstance(value, Quad):
-            return value
-        return Quad(Fraction(value), Fraction(0))
+        return value if isinstance(value, Quad) else Quad(value, 0)
 
     def __sub__(self, other: QuadLike) -> "Quad":
         o = Quad.of(other)
         return Quad(self.a - o.a, self.b - o.b)
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: |a| vs |b|*sqrt5 decided by a^2 vs 5 b^2;
+        # a + b sqrt5 = (x + y sqrt5)/(a.den b.den), a positive denominator
+        x = self.a.numerator * self.b.denominator
+        y = self.b.numerator * self.a.denominator
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if sx * sy >= 0:
+            return sx or sy
+        # opposite signs: |x| vs |y|*sqrt5 decided by x^2 vs 5 y^2;
         # equality would force sqrt5 rational, so it cannot happen here
-        d = a * a - 5 * b * b
-        if a > 0:
-            return 1 if d > 0 else -1
-        return 1 if d < 0 else -1
+        return sx if x * x > 5 * y * y else sy
 
     # ---- rendering ----
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibnest import bounds
+from fibnest import bounds, lattice
 from fibnest.bounds import (
     PRIOR_BOUND,
     SCAN_CAP,
@@ -67,6 +67,38 @@ def test_min_product_matches_scan_sampled_a(n, seed):
     while math.gcd(a, fn) != 1:
         a = a % (fn - 1) + 1
     assert min_product(n, a) == scan_min_product(n, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=90), st.integers(min_value=1))
+@example(3, 1)
+@example(4, 1)
+@example(5, 1)  # with the edges below, every coprime a for n = 3, 4, 5
+def test_min_product_matches_candidate_walk(n, seed):
+    # the indices 2 and n - 1 (n - 2 names the same residues as n - 1)
+    # against the walk over all of 2..n-1, value and tie-broken x_min alike
+    fn = fib(n)
+    a = seed % (fn - 1) + 1
+    while math.gcd(a, fn) != 1:
+        a = a % (fn - 1) + 1
+    for b in (1, fn - 1, fib(n - 1), a):
+        rec = min_product(n, b)
+        assert (rec.value, rec.x_min) == lattice.candidate_min(n, b, Fraction(0)), b
+
+
+def test_min_product_large_n():
+    rec = min_product(20600, 1)
+    assert (rec.x_min, rec.scaled) == (1, Fraction(fib(20598), fib(20600)))
+
+
+def test_drift_free_paths_do_not_walk_the_candidates(monkeypatch):
+    def walk(n):
+        raise AssertionError(f"the drift-free minimum walked the candidates at n = {n}")
+
+    monkeypatch.setattr(lattice, "steps", walk)
+    assert min_product(500, 7).scaled == Fraction(fib(498), fib(500))
+    rows = limit_table(3, 60)
+    assert [row.scaled for row in rows] == [Fraction(fib(n - 2), fib(n)) for n in range(3, 61)]
 
 
 def test_min_product_frozen():

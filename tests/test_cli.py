@@ -281,6 +281,13 @@ def test_min_scan_fail(capsys):
     assert "FAIL" in stdout
 
 
+def test_min_scan_large_n(capsys):
+    # F_20601 has 4,306 digits, past the default int->str limit; odd n passes
+    code, stdout, _ = run(capsys, "min-scan", "--n", "20601", "--a", "1")
+    assert code == 0
+    assert "PASS" in stdout and "x_min=1 " in stdout
+
+
 def test_min_scan_csv(capsys):
     code, stdout, _ = run(capsys, "min-scan", "--n", "7", "--a", "1", "--format", "csv")
     assert code == 0

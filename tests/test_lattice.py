@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fibnest import lattice
 from fibnest.exact import FULL_INTERVAL, UnitInterval
 from fibnest.fib import fib
-from fibnest.lattice import Box, _first_multiple_in_window, basis, cassini_inverse, first_hit, rotate, steps
+from fibnest.lattice import Box, _first_multiple_in_window, basis, cassini_inverse, first_hit, near, rotate, steps
 
 
 def test_steps_are_the_rotated_fibonacci_steps():
@@ -21,6 +21,16 @@ def test_steps_are_the_rotated_fibonacci_steps():
 def test_cassini_inverse_inverts_the_rotation():
     for n in range(3, 201):
         assert cassini_inverse(n) * fib(n - 1) % fib(n) == 1, n
+
+
+def test_three_indices_hold_the_minimum():
+    # drift_free_min's Lucas argument: candidate k scores near(F_k) near(F_{n-k}),
+    # and only k = 2, n - 2 and n - 1 reach F_{n-2}
+    for n in range(3, 201):
+        fn = fib(n)
+        scores = {k: near(fib(k), fn) * near(fib(n - k), fn) for k in range(2, n)}
+        assert min(scores.values()) == fib(n - 2), n
+        assert {k for k, s in scores.items() if s == fib(n - 2)} == {2, n - 2, n - 1} - {1}, n
 
 
 def test_basis_is_a_basis_of_the_lattice():

@@ -77,6 +77,20 @@ def test_sign_matches_float(a, b):
         assert q.sign() == (1 if v > 0 else -1)
 
 
+def test_sign_near_the_boundary():
+    # L_k - F_k sqrt5 = 2 psi^k, psi = (1 - sqrt5)/2, has the sign of
+    # L_k^2 - 5 F_k^2 = 4 (-1)^k and shrinks like phi^-k: past k of about 40
+    # a float cannot tell its sign
+    f, f_next, lucas, lucas_next = 0, 1, 2, 1  # F_k, F_{k+1}, L_k, L_{k+1} at k = 0
+    for k in range(1, 301):
+        f, f_next, lucas, lucas_next = f_next, f + f_next, lucas_next, lucas + lucas_next
+        expect = 1 if lucas * lucas - 5 * f * f > 0 else -1
+        assert expect == (-1) ** k
+        for scale in (Fraction(1), Fraction(1, 3), Fraction(7, 10**9), Fraction(10**40, 17), Fraction(1, fib(97))):
+            assert Quad(scale * lucas, -scale * f).sign() == expect, (k, scale)
+            assert Quad(-scale * lucas, scale * f).sign() == -expect, (k, scale)
+
+
 @given(small_rats, small_rats, small_rats, small_rats)
 def test_ordering_trichotomy(a1, b1, a2, b2):
     x, y = Quad(a1, b1), Quad(a2, b2)
