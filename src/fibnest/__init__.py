@@ -6,7 +6,6 @@ from .bounds import (
     LittlewoodResult,
     MinRecord,
     ProxyTooShallow,
-    ScanCapExceeded,
     check_min_product_bound,
     check_nonconvergent_gap,
     convergent_gap,
@@ -58,7 +57,6 @@ __all__ = [
     "Quad",
     "Rat",
     "ReportBundle",
-    "ScanCapExceeded",
     "Stage",
     "TwoScaleExhausted",
     "UnitInterval",

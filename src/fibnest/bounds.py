@@ -12,8 +12,7 @@ convergent indices (lattice.drift_free_min), littlewood_lower_bound the
 check_nonconvergent_gap walks out from the nearest numerator of each
 denominator instead of visiting every y/x, and star_discrepancy induces
 the rotation onto shorter arcs, n - 2 integer rounds whatever the point
-count. SCAN_CAP is kept only as the input limit on that count, with its
-message and exit code.
+count.
 """
 
 from __future__ import annotations
@@ -30,13 +29,6 @@ from .lattice import candidate_min, cassini_inverse, drift_free_min
 from .nest import Verified
 from .report import BoundReport, ReportBundle, bound_report, equality_report
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad, THRESHOLD_LABEL
-
-SCAN_CAP = 10**6
-
-
-class ScanCapExceeded(ValueError):
-    pass
-
 
 class ProxyTooShallow(ValueError):
     """The proxy error is too large to prove the candidate minimum exact."""
@@ -352,8 +344,6 @@ def star_discrepancy(n: int, count: int, cap: Optional[Rat] = None) -> BoundRepo
     fn = fib(n)
     if not 1 <= count < fn:
         raise ValueError(f"need 1 <= count < F_{n} = {fn}, got {count}")
-    if count > SCAN_CAP:
-        raise ScanCapExceeded(f"count = {count} exceeds scan cap {SCAN_CAP}")
     a = cassini_inverse(n)
     plus = (count, count, count)
     arcs = [(0, plus), (1, (count - fn, count - fn, -fn)), (count + 1, plus)]

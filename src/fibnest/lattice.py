@@ -33,26 +33,52 @@ Fibonacci recurrence in k, as (-1)^(k-1) F_{n-k} + (-1)^(k-2) F_{n-k+1} =
   residues as k = n - 1. So the minimum is F_{n-2}/F_n^2, attained only
   at x = y a^-1 mod F_n with y in {+-1, +-F_{n-1}}, four candidates.
 
-Reduced basis: for n >= 3 and k = n // 2, the vectors
+Bases: for n >= 3 and 1 <= k <= n - 2, the vectors
 u = (F_k, (-1)^(k-1) F_{n-k}) and v = (F_{k+1}, (-1)^k F_{n-k-1}) lie in
 the lattice L = {(a, r) : r = F_{n-1} a mod F_n} by the step identity, and
 det(u, v) = (-1)^k (F_k F_{n-k-1} + F_{k+1} F_{n-k}) = (-1)^k F_n by the
 addition law F_{i+j} = F_{i+1} F_j + F_i F_{j-1}. L has index F_n in Z^2
 (each a has one residue class of r), so two of its vectors with
-determinant +-F_n span it: every point is i u + j v with integers i, j.
-The point (a, r) = i u + j v has i det(u, v) = a v_r - r v_a, so a box of
-sides da and dr crosses at most 1 + (da |v_r| + dr v_a)/F_n lines of
-fixed i. The entries |v_r| = F_{n-k-1} and v_a = F_{k+1} are within a
-constant factor of sqrt(F_n), so a box of sides up to about sqrt(F_n)
-crosses O(1) lines.
+determinant +-F_n span it: every point is i u + j v with integers i, j
+(basis). The point (a, r) = i u + j v has i det(u, v) = a v_r - r v_a, so
+a box of c consecutive positions and w consecutive residues crosses at
+most 1 + ((c - 1) F_{n-k-1} + (w - 1) F_{k+1})/F_n lines of fixed i.
 
-Both witness searches ask first_hit for the first lattice point in a box.
-It counts the lines the box crosses, exactly, and takes the smallest point
-on each from closed-form bounds on j. When there are more lines than the
-Euclid solver has levels (a thin, tall box), the solver, proved exact
-below, answers in O(log range) levels instead. That the greedy walk of
-Fibonacci steps that find_two_scale once used returns the same on every box
-whose position range is shorter than F_{n-1} is checked by tests, not proved.
+Cell lemma: the half-open cell {s u + t v : 0 <= s, t < 1} holds exactly
+one point of L in every translate, as each real point is s u + t v for one
+real pair (s, t) and the points of L are the integer pairs. Its
+a-projection is [0, F_k + F_{k+1}) = [0, F_{k+2}); u_r and v_r have
+opposite signs, so its r-projection is an open interval of length
+F_{n-k} + F_{n-k-1} = F_{n-k+1}, and a translate fits inside any F_{k+2}
+consecutive positions and F_{n-k+1} consecutive residues. So such a box
+holds a lattice point, and a box of w >= F_j residues, 3 <= j <= n, holds
+one in any F_{n+3-j} consecutive positions (k = n + 1 - j); with fewer
+residues the period serves, as any F_n consecutive positions take every
+residue once. cover_span reads j from bit lengths: with R =
+floor(2^32 log_phi 2)/2^32 <= lam = log_phi 2, j = floor((bits(w) - 1) R)
++ 1 has F_j <= phi^(j-1) <= 2^(bits(w)-1) <= w.
+
+Line bound: first_hit caps c by cover_span(n, w) when bits(c) + bits(w) >
+bits(F_n) + 1, since no first hit lies past it, and then takes k =
+floor((n + floor((bits(c) - bits(w)) R))/2), clamped to [1, n - 2], which
+balances the two terms of the line count. With x = log_phi c,
+y = log_phi w, phi^(m-2) <= F_m <= phi^(m-1), (b - 1) lam <= log_phi t <
+b lam for b = bits(t), and eps = (bits(F_n) + 1)(lam - R) < 0.02 for
+n < 10^8:
+
+* x + y < n + 3.46. Uncapped, c w < 2^(bits(F_n)+1) <= 4 F_n; capped
+  with j <= 2, w <= 3 and c <= F_n; capped with j >= 3, c <= F_{n+3-j}
+  <= phi^(n+2-j) and y < bits(w) lam < j + lam + eps.
+* Unclamped, 2k lies in (n + x - y - lam - eps - 2, n + x - y + lam +
+  eps), so the two terms are at most phi^(x-k) < phi^3.46 < 5.3 and
+  phi^(y+k+2-n) < phi^4.46 < 8.6: fewer than 15 lines.
+* k is raised to 1 only when x < lam + 1 + eps, so the terms are below
+  2.1 and 1; k is lowered to n - 2 only when c < 2 F_n and w <= 6, so the
+  terms are below 2 and 4. Either way fewer than 8 lines.
+
+That the greedy walk of Fibonacci steps that find_two_scale once used
+returns the same as first_hit on every box whose position range is shorter
+than F_{n-1} is checked by tests, not proved.
 
 Box: a witness (n, a) and a delta name a stage, with windows
 I = [alpha, alpha + delta/F_n^2] and J = [beta, beta + delta/F_n^2] at the
@@ -122,12 +148,24 @@ def cassini_inverse(n: int) -> int:
     return fib(n - 1) if n % 2 == 0 else fib(n) - fib(n - 1)
 
 
-def basis(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The reduced basis (u, v) of the lattice for n >= 3, as (a, r) pairs:
-    u = (F_k, (-1)^(k-1) F_{n-k}), v = (F_{k+1}, (-1)^k F_{n-k-1}), k = n // 2."""
-    k = n // 2
+def basis(n: int, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The basis (u, v) of the lattice for 1 <= k <= n - 2, as (a, r) pairs:
+    u = (F_k, (-1)^(k-1) F_{n-k}), v = (F_{k+1}, (-1)^k F_{n-k-1})."""
     sign = -1 if k % 2 else 1
     return (fib(k), -sign * fib(n - k)), (fib(k + 1), sign * fib(n - k - 1))
+
+
+# floor(2^32 log_phi 2): (b * _PHI_PER_BIT) >> 32 is b log_phi 2 rounded down
+_PHI_PER_BIT = 6_186_557_180
+
+
+def cover_span(n: int, rows: int) -> int:
+    """A count of consecutive positions that holds a lattice point for any
+    1 <= rows <= F_n consecutive residues, n >= 3 (the cell lemma above):
+    F_{n+3-j} for j = floor((bits(rows) - 1) R) + 1, so F_j <= rows, or F_n
+    when j < 3."""
+    j = ((rows.bit_length() - 1) * _PHI_PER_BIT >> 32) + 1
+    return fib(n + 3 - max(j, 3))
 
 
 def integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
@@ -137,81 +175,44 @@ def integer_range(n: int, span: UnitInterval) -> tuple[int, int]:
     return -(-lo.numerator * fn // lo.denominator), min(hi.numerator * fn // hi.denominator, fn - 1)
 
 
-def _first_multiple_in_window(s: int, m: int, lo: int, hi: int, bound: int) -> int | None:
-    """Smallest x in [0, bound] with lo <= s*x mod m <= hi, or None.
-
-    Needs 0 <= lo <= hi < m and 0 <= s < m. If no multiple of s lies in
-    [lo, hi], write s*x = m*y + v with v in the window: the smallest y is
-    the smallest y >= 0 with (m mod s)*y mod s in [(-hi) mod s, (-lo) mod s],
-    the same question with (s, m) replaced by (m mod s, s), and then
-    x = ceil((m*y + lo) / s). That x grows with y, so x <= bound exactly
-    when y <= (s*bound - lo) // m, the next level's bound; every level's
-    answer is at least ceil(lo/s), so a level where that exceeds its bound
-    is a miss. The bound shrinks by (m mod s)/m < 1/2 every two levels of
-    Euclid's algorithm on (m, s), so a call, hit or miss, runs O(log bound)
-    levels, at most about n for m = F_n; the frames live on an explicit stack.
-    """
-    frames = []
-    while True:
-        if s == 0:
-            if lo != 0 or bound < 0:
-                return None
-            x = 0
-            break
-        x = -(-lo // s)
-        if x > bound:
-            return None
-        if s * x <= hi:
-            break
-        frames.append((m, s, lo))
-        m, s, lo, hi, bound = s, m % s, (-hi) % s, (-lo) % s, (s * bound - lo) // m
-    while frames:
-        m, s, lo = frames.pop()
-        x = -(-(m * x + lo) // s)
-    return x
-
-
 def first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int) -> int | None:
     """The smallest a in [a_lo, a_hi] whose residue F_{n-1} a mod F_n lies in
-    [w_lo, w_hi], or None; needs 0 <= a_lo and 0 <= w_lo, w_hi < F_n, so the
-    lattice points of the box are exactly those pairs (a, residue).
+    [w_lo, w_hi], or None; needs n >= 3, 0 <= a_lo and 0 <= w_lo, w_hi < F_n,
+    so the lattice points of the box are exactly those pairs (a, residue).
 
-    Lines: reflect r -> -r if needed so that v_r > 0; then det(u, v) = F_n
-    and the point i u + j v has i F_n = a v_r - r v_a, so the box crosses
-    the lines i_lo..i_hi of its corners. On line i both a and r grow with j,
-    so the smallest j that the lower bounds on a and r allow gives the
-    line's smallest a, a hit if it keeps within the upper bounds too.
-
-    Euclid: with the residue b of a_lo outside the window, shifting the
-    window by -b leaves it unwrapped (only b itself shifts to 0), and the
-    offset from a_lo is the first multiple of the step in the shifted
-    window, at most a_hi - a_lo."""
+    It caps the box by cover_span and picks the basis from the box's shape
+    (see above), so it crosses fewer than 15 lines. Reflect r -> -r if
+    needed so that v_r > 0; then det(u, v) = F_n and the point i u + j v has
+    i F_n = a v_r - r v_a, so the box crosses the lines i_lo..i_hi of its
+    corners. On line i both a and r grow with j, so the smallest j that the
+    lower bounds on a and r allow gives the line's smallest a, a hit if it
+    keeps within the upper bounds too."""
     if a_lo > a_hi or w_lo > w_hi:
         return None
     fn = fib(n)
-    if n >= 3:
-        (ua, ur), (va, vr) = basis(n)
-        r_lo, r_hi = w_lo, w_hi
-        if vr < 0:
-            ur, vr, r_lo, r_hi = -ur, -vr, -w_hi, -w_lo
-        i_lo = -((r_hi * va - a_lo * vr) // fn)
-        i_hi = (a_hi * vr - r_lo * va) // fn
-        # a line costs about what one Euclid level does, two divisions, and
-        # the solver runs about log_phi(a_hi - a_lo) > bit_length levels
-        if i_hi - i_lo < (a_hi - a_lo).bit_length():
-            best = None
-            for i in range(i_lo, i_hi + 1):
-                j = max(-((i * ua - a_lo) // va), -((i * ur - r_lo) // vr))
-                a = i * ua + j * va
-                if a <= a_hi and i * ur + j * vr <= r_hi and (best is None or a < best):
-                    best = a
-            return best
-    step = fib(n - 1) % fn
-    b = step * a_lo % fn
-    if w_lo <= b <= w_hi:
-        return a_lo
-    t = _first_multiple_in_window(step, fn, (w_lo - b) % fn, (w_hi - b) % fn, a_hi - a_lo)
-    return None if t is None else a_lo + t
+    rows = w_hi - w_lo + 1
+    a_bits, r_bits = (a_hi - a_lo + 1).bit_length(), rows.bit_length()
+    if a_bits + r_bits > fn.bit_length() + 1:
+        a_hi = min(a_hi, a_lo + cover_span(n, rows) - 1)
+        a_bits = (a_hi - a_lo + 1).bit_length()
+    k = (n + ((a_bits - r_bits) * _PHI_PER_BIT >> 32)) // 2
+    if k < 1:
+        k = 1
+    elif k > n - 2:
+        k = n - 2
+    (ua, ur), (va, vr) = basis(n, k)
+    r_lo, r_hi = w_lo, w_hi
+    if vr < 0:
+        ur, vr, r_lo, r_hi = -ur, -vr, -w_hi, -w_lo
+    i_lo = -((r_hi * va - a_lo * vr) // fn)
+    i_hi = (a_hi * vr - r_lo * va) // fn
+    best = None
+    for i in range(i_lo, i_hi + 1):
+        j = max(-((i * ua - a_lo) // va), -((i * ur - r_lo) // vr))
+        a = i * ua + j * va
+        if a <= a_hi and i * ur + j * vr <= r_hi and (best is None or a < best):
+            best = a
+    return best
 
 
 def hits(n: int, I: UnitInterval, J: UnitInterval) -> Iterator[int]:

@@ -3,9 +3,9 @@
 Given an index n and two target windows, find a with 1 <= a < F_n and
 gcd(a, F_n) = 1 whose witness point (lattice.witness_point) lies in I x J;
 each search returns that integer a, or None. Both strategies ask one
-exact solver, lattice.first_hit, for the first lattice point in a box; a
-box the size of a build's target crosses a few lines of the lattice's
-reduced basis, so a miss costs a few big-integer divisions. The boxes
+exact solver, lattice.first_hit, for the first lattice point in a box;
+any box crosses fewer than 15 lines of the basis first_hit picks for its
+shape, so a hit or a miss costs a few big-integer divisions. The boxes
 are integer ranges formed from the windows' numerators and denominators,
 with no Fraction arithmetic. find_brute is that search, exhaustive at
 every index; find_two_scale is a policy on it: a smaller box, then a

@@ -63,13 +63,12 @@ class Quad:
         return f"{self.a} {sign} {abs(self.b)}*sqrt(5)"
 
     def _floor_scaled(self, scale: int) -> int:
-        """floor(value * scale) exactly."""
-        # value*scale = (p + q*sqrt5)/d with integers p, q and d > 0
+        """floor(value * scale) exactly, for b != 0 (decimal renders b = 0 as
+        a rational)."""
+        # value*scale = (p + q*sqrt5)/d with integers p, q != 0 and d > 0
         p = self.a.numerator * scale * self.b.denominator
         q = self.b.numerator * scale * self.a.denominator
         d = self.a.denominator * self.b.denominator
-        if q == 0:
-            return p // d
         s = math.isqrt(5 * q * q)
         m = p + s if q > 0 else p - s - 1
         return m // d

@@ -8,6 +8,8 @@ import math
 import random
 from fractions import Fraction
 
+from oracles import linear_find_brute
+
 from fibnest.bounds import (
     check_nonconvergent_gap,
     convergent_gap,
@@ -128,6 +130,8 @@ def test_criterion_7_search_route_agreement():
         a = find_brute(n, target_i, target_j)
         assert a is not None, (n, target_i, target_j)
         assert verify_witness(n, a, target_i, target_j).passed
+        # the exhaustive route against a scan of every position of the target
+        assert a == linear_find_brute(n, target_i, target_j), (n, target_i, target_j)
         try:
             other = find_two_scale(n, target_i, target_j)
         except TwoScaleExhausted:
@@ -135,7 +139,7 @@ def test_criterion_7_search_route_agreement():
         if other is not None:
             assert verify_witness(n, other, target_i, target_j).passed
             two_scale_hits += 1
-    print(f"criterion 7: PASS (100 brute witnesses verified, {two_scale_hits} two_scale agreements)")
+    print(f"criterion 7: PASS (100 brute witnesses verified and equal to a linear scan, {two_scale_hits} two_scale agreements)")
 
 
 def test_criterion_8_discrepancy_caps():

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from fibnest import bounds, lattice
 from fibnest.bounds import (
     PRIOR_BOUND,
-    SCAN_CAP,
     MinRecord,
     ProxyTooShallow,
-    ScanCapExceeded,
     check_min_product_bound,
     check_nonconvergent_gap,
     convergent_family,
@@ -139,7 +137,7 @@ def test_min_product_validation():
         min_product(6, 8)
     with pytest.raises(ValueError):
         min_product(6, 2)  # gcd(2, 8) = 2
-    # no scan cap: F_40 is far above SCAN_CAP
+    # no size limit: F_40 is about 10^8, and nothing scans it
     rec = min_product(40, 1)
     assert (rec.x_min, rec.scaled) == (1, Fraction(fib(38), fib(40)))
 
@@ -517,12 +515,15 @@ def test_star_discrepancy_validation():
         star_discrepancy(6, 0)
     with pytest.raises(ValueError):
         star_discrepancy(6, 8)
-    # the cap bounds the points visited, not F_n: 100 points of F_40 run
+    # count, not F_n, names the points: 100 points of F_40 run
     fn, step = fib(40), fib(39)
     points = [Fraction(step * x % fn, fn) for x in range(1, 101)]
     assert star_discrepancy(40, 100).lhs == 100 * star_discrepancy_of_points(points)
-    with pytest.raises(ScanCapExceeded, match=f"count = {SCAN_CAP + 1} exceeds"):
-        star_discrepancy(40, SCAN_CAP + 1)
+    # and nothing caps count below F_n: one point more than 10^6 moves
+    # count * D* by at most 1
+    report = star_discrepancy(40, 10**6 + 1)
+    assert report.name == f"star-discrepancy[n=40, count={10**6 + 1}]"
+    assert abs(report.lhs - star_discrepancy(40, 10**6).lhs) <= 1
 
 
 def scan_star_discrepancy(n, count):
@@ -590,7 +591,7 @@ def test_star_discrepancy_rounds_and_arcs(monkeypatch):
         return real(starts, y)
 
     monkeypatch.setattr(bounds.bisect, "bisect_right", spy)
-    for n, count in [(3, 1), (10, 7), (25, 20_000), (40, SCAN_CAP), (300, 12_345)]:
+    for n, count in [(3, 1), (10, 7), (25, 20_000), (40, 10**6), (300, 12_345)]:
         rounds.clear()
         star_discrepancy(n, count)
         assert len(rounds) == n - 2
@@ -598,14 +599,14 @@ def test_star_discrepancy_rounds_and_arcs(monkeypatch):
 
 
 def test_star_discrepancy_allocates_nothing_per_point():
-    star_discrepancy(40, SCAN_CAP)  # warm the Fibonacci table
+    star_discrepancy(40, 10**6)  # warm the Fibonacci table
     tracemalloc.start()
     try:
-        star_discrepancy(40, SCAN_CAP)
+        star_discrepancy(40, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100_000  # a list of SCAN_CAP residues alone is 8 MB
+    assert peak < 100_000  # a list of 10^6 residues alone is 8 MB
 
 
 # ---- limit table ----

@@ -1,16 +1,20 @@
-"""The identities lattice states, checked by direct computation, and the
-line enumeration of first_hit checked against the Euclid solver."""
+"""The identities lattice states, checked by direct computation: the
+bases, the cell lemma, and first_hit against the Euclid solver and within
+its line bound."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import euclid_first_hit
 
 from fibnest import lattice
 from fibnest.exact import FULL_INTERVAL, UnitInterval
 from fibnest.fib import fib
-from fibnest.lattice import Box, _first_multiple_in_window, basis, cassini_inverse, first_hit, near, rotate, steps
+from fibnest.lattice import Box, basis, cassini_inverse, cover_span, first_hit, near, rotate, steps
 
 
 def test_steps_are_the_rotated_fibonacci_steps():
@@ -34,53 +38,53 @@ def test_three_indices_hold_the_minimum():
 
 
 def test_basis_is_a_basis_of_the_lattice():
-    for n in range(3, 301):
-        (ua, ur), (va, vr) = basis(n)
-        # lattice vectors: each residue is its position's rotation
-        assert ur % fib(n) == rotate(n, ua) and vr % fib(n) == rotate(n, va), n
-        assert ua * vr - ur * va == (-1) ** (n // 2) * fib(n), n
+    for n in range(3, 201):
+        for k in range(1, n - 1):
+            (ua, ur), (va, vr) = basis(n, k)
+            # lattice vectors: each residue is its position's rotation
+            assert ur % fib(n) == rotate(n, ua) and vr % fib(n) == rotate(n, va), (n, k)
+            assert ua * vr - ur * va == (-1) ** k * fib(n), (n, k)
 
 
-def euclid_first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int):
-    """Oracle: first_hit by the Euclid solver alone, the residue b of a_lo
-    shifted to 0."""
-    if a_lo > a_hi:
-        return None
+def widest_gap(n: int, a0: int, count: int) -> int:
+    """The longest run of consecutive residues, cyclically mod F_n, that
+    none of the positions a0 .. a0 + count - 1 takes, plus one."""
     fn = fib(n)
-    step = fib(n - 1) % fn
-    b = step * a_lo % fn
-    if w_lo <= b <= w_hi:
-        return a_lo
-    t = _first_multiple_in_window(step, fn, (w_lo - b) % fn, (w_hi - b) % fn, a_hi - a_lo)
-    return None if t is None else a_lo + t
+    r = sorted({rotate(n, a) for a in range(a0, a0 + count)})
+    return max(b - a for a, b in zip(r, r[1:] + [r[0] + fn]))
 
 
-# at n = 100 the box below crosses 35 lines, as many as the bit length of
-# its position range, and takes the lines; 36 lines take the Euclid solver
+def test_cell_lemma_exhaustively():
+    # any F_{k+2} consecutive positions meet every run of F_{n-k+1}
+    # consecutive residues, for every basis
+    for n in range(3, 15):
+        for k in range(1, n - 1):
+            assert all(widest_gap(n, a0, fib(k + 2)) <= fib(n - k + 1) for a0 in range(fib(n))), (n, k)
+
+
+def test_cover_span_covers_every_residue_run():
+    # cover_span depends on rows only through its bit length, and the
+    # smallest rows of each bit length is the hardest to meet
+    for n in range(3, 15):
+        fn = fib(n)
+        for bits in range(1, fn.bit_length() + 1):
+            rows = 2 ** (bits - 1)
+            span = cover_span(n, rows)
+            assert span <= fn and cover_span(n, min(2 * rows - 1, fn)) == span
+            assert all(widest_gap(n, a0, span) <= rows for a0 in range(fn)), (n, rows)
+
+
+# boxes that crossed 35 and 36 lines of the old fixed basis k = n // 2
 _A_LO, _W_LO = 10**19, 3 * 10**19
-LINES_AT_LIMIT = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 600_000_000_000)
-LINES_PAST_LIMIT = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 615_000_000_000)
-# thin and tall: about F_151 lines for a range of 3 positions
+FIXED_BASIS_35 = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 600_000_000_000)
+FIXED_BASIS_36 = (100, _A_LO, _A_LO + 18_820_862_046, _W_LO, _W_LO + 615_000_000_000)
+# thin and tall: about F_151 lines of that basis for a range of 3 positions
 THIN_TALL = (300, 12_345, 12_348, rotate(300, 12_345) + 1, fib(300) - 1)
 # a box of side sqrt(F_n), the size of a build's target
 SQUARE = (300, 10**60, 10**60 + math.isqrt(fib(300)), 10**61, 10**61 + math.isqrt(fib(300)))
-
-
-def test_first_hit_path_follows_the_line_count(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _first_multiple_in_window(*args)
-
-    monkeypatch.setattr(lattice, "_first_multiple_in_window", counted)
-    for box, euclid in ((LINES_AT_LIMIT, False), (SQUARE, False), (LINES_PAST_LIMIT, True), (THIN_TALL, True)):
-        n, a_lo, _, w_lo, w_hi = box
-        # the Euclid path returns a_lo without a solver call if its residue hits
-        assert not w_lo <= rotate(n, a_lo) <= w_hi
-        calls.clear()
-        first_hit(*box)
-        assert bool(calls) == euclid, box
+# wide and flat: half the positions, 4 residues, none of them a_lo's
+WIDE_FLAT = (500, fib(500) // 7, fib(500) // 7 + fib(500) // 2, fib(500) // 3, fib(500) // 3 + 3)
+NAMED_BOXES = (FIXED_BASIS_35, FIXED_BASIS_36, THIN_TALL, SQUARE, WIDE_FLAT)
 
 
 @st.composite
@@ -104,10 +108,11 @@ def lattice_boxes(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(lattice_boxes())
-@example(LINES_AT_LIMIT)
-@example(LINES_PAST_LIMIT)
+@example(FIXED_BASIS_35)
+@example(FIXED_BASIS_36)
 @example(THIN_TALL)
 @example(SQUARE)
+@example(WIDE_FLAT)
 def test_first_hit_matches_euclid_solver(box):
     n, a_lo, a_hi, w_lo, w_hi = box
     a = first_hit(*box)
@@ -116,6 +121,58 @@ def test_first_hit_matches_euclid_solver(box):
         assert a_lo <= a <= a_hi and w_lo <= rotate(n, a) <= w_hi
         # nothing hits strictly below a
         assert euclid_first_hit(n, a_lo, a - 1, w_lo, w_hi) is None
+
+
+@contextmanager
+def line_bounds():
+    """A function of a box: 1 + ((c - 1) |v_r| + (w - 1) v_a)/F_n for the
+    basis and the capped position range that first_hit uses on it, which
+    bound the lines it walks; basis and cover_span are wrapped to see them."""
+    used = {}
+
+    def spy_basis(n, k):
+        used["basis"] = basis(n, k)
+        return used["basis"]
+
+    def spy_cover(n, rows):
+        used["span"] = cover_span(n, rows)
+        return used["span"]
+
+    def bound(box):
+        used.clear()
+        first_hit(*box)
+        n, a_lo, a_hi, w_lo, w_hi = box
+        a_hi = min(a_hi, a_lo + used.get("span", a_hi - a_lo + 1) - 1)
+        _, (va, vr) = used["basis"]
+        return 1 + ((a_hi - a_lo) * abs(vr) + (w_hi - w_lo) * va) // fib(n)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(lattice, "basis", spy_basis)
+        monkeypatch.setattr(lattice, "cover_span", spy_cover)
+        yield bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_boxes())
+def test_first_hit_crosses_fewer_than_15_lines(box):
+    # the line bound proved in the module docstring
+    with line_bounds() as bound:
+        assert bound(box) < 15
+
+
+def test_first_hit_lines_on_named_boxes_and_every_shape():
+    with line_bounds() as bound:
+        for box in NAMED_BOXES:
+            assert bound(box) <= 5, box
+        # every pair of bit lengths of the position and residue ranges, at
+        # the top of each: at most 5 lines, below the proved 15
+        for n in list(range(3, 60)) + [100, 200]:
+            fn = fib(n)
+            for a_bits in range(1, fn.bit_length() + 2):
+                for r_bits in range(1, fn.bit_length() + 1):
+                    rows = min(2**r_bits - 1, fn)
+                    box = (n, fn // 3, fn // 3 + 2**a_bits - 2, fn - rows, fn - 1)
+                    assert bound(box) <= 5, box
 
 
 @settings(max_examples=300, deadline=None)

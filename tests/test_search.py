@@ -6,10 +6,11 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import first_multiple_in_window, greedy_first_hit, linear_find_brute, linear_first_step
 
 from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
 from fibnest.fib import fib
-from fibnest.lattice import _first_multiple_in_window, first_hit, integer_range, rotate, steps, witness_point
+from fibnest.lattice import first_hit, integer_range, rotate, witness_point
 from fibnest.search import (
     TwoScaleExhausted,
     candidate_count,
@@ -23,27 +24,6 @@ from fibnest.search import (
 
 def interval_at(lo: Fraction, length: Fraction) -> UnitInterval:
     return UnitInterval(lo, lo + length)
-
-
-def linear_find_brute(n: int, I: UnitInterval, J: UnitInterval):
-    """Oracle: scan every position of I in increasing order; the smallest
-    coprime a whose residue lands in J, or None."""
-    fn = fib(n)
-    a_lo, a_hi = max(math.ceil(I.lo * fn), 1), min(math.floor(I.hi * fn), fn - 1)
-    w_lo, w_hi = math.ceil(J.lo * fn), math.floor(J.hi * fn)
-    step = fib(n - 1) % fn
-    for a in range(a_lo, a_hi + 1):
-        if w_lo <= (step * a) % fn <= w_hi and math.gcd(a, fn) == 1:
-            return a
-    return None
-
-
-def linear_first_step(s: int, m: int, lo: int, hi: int):
-    """Oracle: walk t = 0 .. m; the residues repeat with period dividing m."""
-    for t in range(m + 1):
-        if lo <= s * t % m <= hi:
-            return t
-    return None
 
 
 # ---- select_kstar ----
@@ -155,55 +135,26 @@ def test_first_step_matches_linear_walk(problem):
     # bounds below the answer, at it, above it, and negative
     for bound in {-1, 0, m} | (set() if t is None else {t - 1, t, t + 1}):
         expect = t if t is not None and t <= bound else None
-        assert _first_multiple_in_window(s, m, lo, hi, bound) == expect, bound
-
-
-def greedy_first_hit(n: int, a_lo: int, a_hi: int, w_lo: int, w_hi: int):
-    """Reference oracle: stage 1 of find_two_scale as it was before it called
-    first_hit, verbatim. It walks a up from a_lo, taking a step F_k
-    (k = 2, 3, ...) whenever its residue move lands no further than the
-    window end, and never takes F_{n-1}."""
-    if a_lo > a_hi:
-        return None
-    fn = fib(n)
-    if w_lo > w_hi:
-        return None
-    width = w_hi - w_lo
-
-    a = a_lo
-    r = rotate(n, a)
-    ladder = steps(n)  # (F_k, the residue step of F_k) for k = 2, 3, ...
-    k, (f_k, d) = 2, next(ladder)
-    while not w_lo <= r <= w_hi:
-        if k > n - 2:
-            return None  # granularity exhausted
-        if a + f_k > a_hi:
-            return None  # all remaining steps are unaffordable
-        need = (w_lo - r) % fn
-        if 0 < d <= need + width:
-            a += f_k
-            r = (r + d) % fn
-        else:
-            k += 1
-            f_k, d = next(ladder)
-    return a
+        assert first_multiple_in_window(s, m, lo, hi, bound) == expect, bound
 
 
 @pytest.mark.parametrize("n", range(4, 10))
 def test_first_hit_matches_greedy_and_scan_exhaustively(n):
-    # every window whose position range is shorter than F_{n-1}, as in
-    # find_two_scale, where it is the left half of I: at most F_n/2
-    fn, span = fib(n), fib(n - 1)
+    # every box, empty ones too, whose position range is shorter than 2 F_n
+    # (F_{n-1} at n = 9); the greedy only where that range is shorter than
+    # F_{n-1}, as in find_two_scale, where it is the left half of I
+    fn, greedy_span = fib(n), fib(n - 1)
+    span = 2 * fn if n < 9 else greedy_span
     for a_lo in range(fn):
+        residues = [rotate(n, a) for a in range(a_lo, a_lo + span)]
         for w_lo in range(fn):
-            for w_hi in range(w_lo, fn):
-                scan = next(
-                    (a for a in range(a_lo, min(a_lo + span, fn)) if w_lo <= rotate(n, a) <= w_hi), None
-                )
-                for a_hi in range(a_lo, min(a_lo + span, fn)):
+            for w_hi in range(w_lo - 1, fn):
+                scan = next((a_lo + t for t, r in enumerate(residues) if w_lo <= r <= w_hi), None)
+                for a_hi in range(a_lo - 1, a_lo + span):
                     expect = scan if scan is not None and scan <= a_hi else None
                     assert first_hit(n, a_lo, a_hi, w_lo, w_hi) == expect
-                    assert greedy_first_hit(n, a_lo, a_hi, w_lo, w_hi) == expect
+                    if a_hi < a_lo + greedy_span:
+                        assert greedy_first_hit(n, a_lo, a_hi, w_lo, w_hi) == expect
 
 
 @st.composite
@@ -289,8 +240,8 @@ def test_brute_requeries_past_non_coprime_hits(n):
 
 
 def test_brute_reaches_n2000_with_narrow_windows():
-    # consecutive Fibonacci numbers are Euclid's worst case: about n solver
-    # frames, far past the recursion limit
+    # a deep index and tiny windows: each first_hit call still walks a
+    # handful of lines, whatever n is
     n = 2000
     eta = Fraction(1, 10**200)
     I = interval_at(Fraction(1, 3), eta)
