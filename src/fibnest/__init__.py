@@ -16,7 +16,7 @@ from .bounds import (
     star_discrepancy,
     star_discrepancy_of_points,
 )
-from .exact import Rat, UnitInterval, dist_int, frac, rat_decimal, rat_str
+from .exact import Rat, UnitInterval, rat_decimal, rat_str
 from .fib import fib, fib_index_at_least, golden_convergent
 from .lattice import witness_point
 from .nest import (
@@ -38,7 +38,6 @@ from .search import (
     find_two_scale,
     find_witness,
     select_kstar,
-    verify_witness,
 )
 from .surd import GOLDEN_INV_SQ, GOLDEN_SQ, Quad
 
@@ -67,13 +66,11 @@ __all__ = [
     "check_min_product_bound",
     "check_nonconvergent_gap",
     "convergent_gap",
-    "dist_int",
     "fib",
     "fib_index_at_least",
     "find_brute",
     "find_two_scale",
     "find_witness",
-    "frac",
     "golden_convergent",
     "limit_table",
     "limit_table_csv",
@@ -87,6 +84,5 @@ __all__ = [
     "star_discrepancy_of_points",
     "verify",
     "verify_certificate",
-    "verify_witness",
     "witness_point",
 ]

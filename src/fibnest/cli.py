@@ -30,7 +30,6 @@ from .report import (
     to_csv,
     to_json,
 )
-from .search import STRATEGIES
 
 USAGE_ERROR = 2
 
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--n0", type=int, default=5)
     p.add_argument("--delta", choices=sorted(nest.SCHEDULES), default="pow2")
-    p.add_argument("--strategy", choices=STRATEGIES, default="auto")
     add_common(p)
 
     p = sub.add_parser("verify-cert", help="re-check a stored certificate")
@@ -130,12 +128,7 @@ def _render(obj: Union[BoundReport, ReportBundle], fmt: str) -> str:
 
 
 def _cmd_construct(args) -> int:
-    cert = nest.build(
-        depth=args.depth,
-        schedule=args.delta,
-        n0=args.n0,
-        strategy=args.strategy,
-    )
+    cert = nest.build(depth=args.depth, schedule=args.delta, n0=args.n0)
     verification = nest.verify_certificate(cert)
     payload = nest.certificate_to_json(cert)
     if args.out is None:
@@ -152,12 +145,12 @@ def _int_text_unlimited():
     """Lift the interpreter's int<->str digit limit for the block.
 
     Every command renders exact values whose digits grow with F_n, so each
-    runs with the limit lifted once argparse has read its integers. The
-    limit stays in force while a certificate is parsed, where it guards
-    against oversized input; a parsed certificate with a corrupted stage
-    index can still make F_n longer than the limit, and its failed checks
-    must be verified and rendered like any other. The limit API is missing
-    before Python 3.10.7; there is no limit to lift there."""
+    runs with the limit lifted once argparse has read its integers. A
+    certificate's parser bounds its integers itself (nest.MAX_DIGITS), and
+    a parsed certificate with a corrupted stage index can still make F_n
+    longer than the limit, whose failed checks must be verified and
+    rendered like any other. The limit API is missing before Python
+    3.10.7; there is no limit to lift there."""
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     if get_limit is None:
         yield
@@ -172,9 +165,8 @@ def _int_text_unlimited():
 
 def _cmd_verify_cert(args) -> int:
     cert = nest.certificate_from_json(args.infile.read_text(encoding="utf-8"))
-    with _int_text_unlimited():
-        verification = nest.verify_certificate(cert)
-        _emit(_render(verification, args.format), args.out)
+    verification = nest.verify_certificate(cert)
+    _emit(_render(verification, args.format), args.out)
     return 0 if verification.passed else 1
 
 
@@ -213,14 +205,13 @@ def _cmd_q2(args) -> int:
 
 def _cmd_littlewood(args) -> int:
     cert = nest.certificate_from_json(args.cert.read_text(encoding="utf-8"))
-    with _int_text_unlimited():
-        # a bound is certified only from a certificate that passes verification
-        verification, verified = nest.verify(cert)
-        if verified is None:
-            _emit(_render(verification, args.format), args.out)
-            return 1
-        result = bounds.littlewood_lower_bound(verified, args.level, args.proxy)
-        _emit(_render(result.report, args.format), args.out)
+    # a bound is certified only from a certificate that passes verification
+    verification, verified = nest.verify(cert)
+    if verified is None:
+        _emit(_render(verification, args.format), args.out)
+        return 1
+    result = bounds.littlewood_lower_bound(verified, args.level, args.proxy)
+    _emit(_render(result.report, args.format), args.out)
     return 0 if result.report.passed else 1
 
 
@@ -229,9 +220,6 @@ def _cmd_discrepancy(args) -> int:
     _emit(_render(report, args.format), args.out)
     return 0 if report.passed else 1
 
-
-# these lift the limit themselves, after parsing the certificate
-_PARSE_CERTIFICATE = ("verify-cert", "littlewood")
 
 _COMMANDS = {
     "construct": _cmd_construct,
@@ -250,8 +238,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     command = _COMMANDS[args.command]
     try:
-        if args.command in _PARSE_CERTIFICATE:
-            return command(args)
         with _int_text_unlimited():
             return command(args)
     except (ValueError, OSError, KeyError, nest.DepthUnreachable) as exc:

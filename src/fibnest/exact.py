@@ -1,5 +1,5 @@
-"""Exact rational scalars, fractional parts, distance to the nearest
-integer, and closed rational-endpoint subintervals of [0, 1].
+"""Exact rational scalars, closed rational-endpoint subintervals of
+[0, 1], and their renderings.
 
 Everything in this module is exact Fraction arithmetic; no floats.
 Intervals are closed on both ends: membership is tested on exact
@@ -16,18 +16,6 @@ from typing import Union
 Rat = Fraction
 
 RatLike = Union[Rat, int, str]
-
-
-def frac(q: RatLike) -> Rat:
-    """Fractional part q - floor(q), always in [0, 1)."""
-    q = Fraction(q)
-    return q - (q.numerator // q.denominator)
-
-
-def dist_int(q: RatLike) -> Rat:
-    """Distance from q to the nearest integer, in [0, 1/2]."""
-    f = frac(q)
-    return min(f, 1 - f)
 
 
 @dataclass(frozen=True)
@@ -60,9 +48,6 @@ class UnitInterval:
     def __contains__(self, q: RatLike) -> bool:
         q = Fraction(q)
         return self.lo <= q <= self.hi
-
-
-FULL_INTERVAL = UnitInterval(Fraction(0), Fraction(1))
 
 
 # ---- rendering ----

@@ -76,9 +76,9 @@ n < 10^8:
   2.1 and 1; k is lowered to n - 2 only when c < 2 F_n and w <= 6, so the
   terms are below 2 and 4. Either way fewer than 8 lines.
 
-That the greedy walk of Fibonacci steps that find_two_scale once used
-returns the same as first_hit on every box whose position range is shorter
-than F_{n-1} is checked by tests, not proved.
+That the greedy walk of Fibonacci steps in tests/oracles.py returns the
+same as first_hit on every box whose position range is shorter than
+F_{n-1} is checked by tests, not proved.
 
 Box: a witness (n, a) and a delta name a stage, with windows
 I = [alpha, alpha + delta/F_n^2] and J = [beta, beta + delta/F_n^2] at the

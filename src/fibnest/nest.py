@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -33,7 +32,7 @@ from .report import (
     bound_report,
     equality_report,
 )
-from .search import STRATEGIES, find_witness
+from .search import find_witness
 
 
 class DepthUnreachable(RuntimeError):
@@ -68,6 +67,15 @@ SCHEDULES: dict[str, Callable[[int], Rat]] = {
     "inv": lambda nu: Fraction(1, nu + 1),
 }
 
+# the policy labels certificate_from_json accepts: build records "auto",
+# and "brute" and "two_scale" label certificates whose every witness came
+# from find_brute or find_two_scale alone
+POLICIES = ("auto", "brute", "two_scale")
+
+# the most digits certificate_from_json reads in one integer, CPython's
+# default int<->str limit, held whatever limit the interpreter has
+MAX_DIGITS = 4300
+
 # how many indices past the first build tries for one stage before it
 # gives up with DepthUnreachable
 MAX_INDEX_STEPS = 300
@@ -101,17 +109,10 @@ def seed_stage() -> Stage:
     return _stage(0, Box(1, 0, Fraction(1)))
 
 
-def build(
-    depth: int,
-    schedule: str = "pow2",
-    n0: int = 5,
-    strategy: str = "auto",
-) -> Certificate:
+def build(depth: int, schedule: str = "pow2", n0: int = 5) -> Certificate:
     """Build a certificate with `depth` stages beyond the seed, under the
-    named delta schedule (see SCHEDULES), searching witnesses with the
-    named strategy (see search.find_witness)."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    named delta schedule (see SCHEDULES), searching each witness with
+    search.find_witness; the certificate records the policy "auto"."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if n0 < 4:
@@ -126,9 +127,9 @@ def build(
 
         # smallest n whose target is wide enough for an integer position;
         # F_n >= 2 F_prev^2 / delta_prev also makes the new window at most
-        # 1/4 of the old one, so it fits in the untouched right half
+        # 1/4 of the old one, so it fits in the untouched right half. As
+        # delta_prev <= 1, F_n >= 2 F_prev^2 > F_prev, so n > n_prev already
         n_try = fib_index_at_least(math.ceil(1 / target.width))
-        n_try = max(n_try, target.n + 1)
         if nu == 0:
             n_try = max(n_try, n0)
         first_tried = n_try
@@ -136,14 +137,14 @@ def build(
         while True:
             if n_try - first_tried > MAX_INDEX_STEPS:
                 raise DepthUnreachable(nu + 1, n_try - 1)
-            a = find_witness(n_try, target_i, target_j, strategy)
+            a = find_witness(n_try, target_i, target_j)
             if a is not None:
                 break
             n_try += 1
 
         stages.append(_stage(nu + 1, Box(n_try, a, SCHEDULES[schedule](nu + 1))))
 
-    return Certificate(schedule=schedule, policy=strategy, stages=tuple(stages))
+    return Certificate(schedule=schedule, policy="auto", stages=tuple(stages))
 
 
 _ZERO = Fraction(0)
@@ -344,16 +345,23 @@ _RAT = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
 def _integer(text: str, name: str) -> int:
-    """int() of a decimal string, which can fail only past the interpreter's
-    int<->str digit limit, the parser's guard against oversized input; the
-    error names the field and the limit, not how to lift it."""
-    try:
-        return int(text)
-    except ValueError:
+    """int() of a decimal string of at most MAX_DIGITS digits, the parser's
+    guard against oversized input; the error names the field and the limit.
+    The plain length settles every short string without counting digits."""
+    if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
         raise ValueError(
-            f"{name} has {len(text.lstrip('-'))} digits, over the "
-            f"{sys.get_int_max_str_digits()}-digit limit on certificate integers"
-        ) from None
+            f"{name} has {len(text.lstrip('-'))} digits, over the {MAX_DIGITS}-digit limit on certificate integers"
+        )
+    return int(text)
+
+
+def _json_integer(text: str) -> int:
+    """json.loads's parse_int: a JSON number's digits, bounded like _integer."""
+    if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(
+            f"certificate: a JSON integer is over the {MAX_DIGITS}-digit limit on certificate integers"
+        )
+    return int(text)
 
 
 def _rational(value, name: str) -> Rat:
@@ -421,20 +429,13 @@ def certificate_from_json(text: str) -> Certificate:
     Whether the values form a valid certificate is left to
     verify_certificate."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_int=_json_integer)
     except RecursionError:
         raise ValueError("certificate: JSON nested too deeply") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # int() of a JSON number past the digit limit
-        raise ValueError(
-            "certificate: a JSON integer is over the "
-            f"{sys.get_int_max_str_digits()}-digit limit on certificate integers"
-        ) from None
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
     if not isinstance(payload["schedule"], str) or payload["schedule"] not in SCHEDULES:
         raise ValueError(f"schedule: unknown delta schedule {payload['schedule']!r}")
-    if payload["policy"] not in STRATEGIES:
+    if payload["policy"] not in POLICIES:
         raise ValueError(f"policy: unknown strategy {payload['policy']!r}")
     if not isinstance(payload["stages"], list) or not payload["stages"]:
         raise ValueError("stages must be a non-empty list")

@@ -2,8 +2,8 @@
 
 Every check in the package reduces to one or more BoundReport records:
 an exact left side, an exact right side (rational or in Q(sqrt5)), their
-slack, and pass = slack >= 0. Equality and membership checks are encoded
-through their slack so the same invariant covers them.
+slack, and pass = slack >= 0. Equality checks are encoded through their
+slack so the same invariant covers them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exact import DECIMAL_DIGITS, Rat, UnitInterval, rat_decimal, rat_str
+from .exact import DECIMAL_DIGITS, Rat, rat_decimal, rat_str
 from .surd import Quad
 
 Side = Union[Rat, Quad]
@@ -98,21 +98,6 @@ def equality_report(name: str, lhs: Rat, rhs: Rat, *, notes: str = "") -> BoundR
         slack=slack,
         passed=passed,
         notes=notes,
-    )
-
-
-def membership_report(
-    name: str, point: Rat, interval: UnitInterval, *, notes: str = ""
-) -> BoundReport:
-    """point in [lo, hi] encoded as slack = min(point - lo, hi - point)."""
-    slack = min(point - interval.lo, interval.hi - point)
-    return BoundReport(
-        name=name,
-        lhs=point,
-        rhs=interval.lo,
-        slack=slack,
-        passed=(slack >= 0),
-        notes=notes or f"target [{rat_str(interval.lo)}, {rat_str(interval.hi)}]",
     )
 
 

@@ -9,23 +9,19 @@ shape, so a hit or a miss costs a few big-integer divisions. The boxes
 are integer ranges formed from the windows' numerators and denominators,
 with no Fraction arithmetic. find_brute is that search, exhaustive at
 every index; find_two_scale is a policy on it: a smaller box, then a
-coprime repair, with its result re-checked exactly. find_witness takes
-the strategy by name, or "auto", which picks by candidate count.
+coprime repair, with its result re-checked exactly. find_witness, the
+search nest.build runs, picks between them by candidate count.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exact import UnitInterval
 from .fib import fib
-from .lattice import first_hit, hits, integer_range, rotate, witness_point
-from .report import ReportBundle, bound_report, membership_report
+from .lattice import first_hit, hits, integer_range, rotate
 
-STRATEGIES = ("auto", "brute", "two_scale")
-
-# auto's crossover: the frozen certificates (stage 3 at n = 82 for pow2,
+# find_witness's crossover: the frozen certificates (stage 3 at n = 82 for pow2,
 # n0 = 5) come from the two-scale fallback past this many positions.
 AUTO_BRUTE_MAX = 10_000_000
 
@@ -127,41 +123,12 @@ def find_two_scale(n: int, I: UnitInterval, J: UnitInterval) -> int | None:
     return a if a <= a_end and r_lo <= rotate(n, a) <= r_hi else None
 
 
-def find_witness(n: int, I: UnitInterval, J: UnitInterval, strategy: str = "auto") -> int | None:
-    """Strategy dispatch. auto searches exhaustively up to AUTO_BRUTE_MAX
-    candidate positions and uses the two-scale search beyond."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "brute" or (
-        strategy == "auto" and candidate_count(n, I) <= AUTO_BRUTE_MAX
-    ):
+def find_witness(n: int, I: UnitInterval, J: UnitInterval) -> int | None:
+    """The exhaustive search up to AUTO_BRUTE_MAX candidate positions, the
+    two-scale search beyond."""
+    if candidate_count(n, I) <= AUTO_BRUTE_MAX:
         return find_brute(n, I, J)
     try:
         return find_two_scale(n, I, J)
     except TwoScaleExhausted:
         return None
-
-
-def verify_witness(n: int, a: int, I: UnitInterval, J: UnitInterval) -> ReportBundle:
-    """Derive both coordinates from (n, a) and check every condition."""
-    fn = fib(n)
-    alpha, beta = witness_point(n, a)
-    items = (
-        bound_report(
-            "a-range",
-            Fraction(min(a - 1, fn - 1 - a)),
-            Fraction(0),
-            witness=a,
-            notes=f"1 <= a < F_{n} = {fn}",
-        ),
-        bound_report(
-            "coprime",
-            Fraction(1),
-            Fraction(math.gcd(a, fn)),
-            witness=a,
-            notes=f"gcd(a, F_{n})",
-        ),
-        membership_report("alpha-in-I", alpha, I),
-        membership_report("beta-in-J", beta, J),
-    )
-    return ReportBundle(name=f"witness[n={n}, a={a}]", items=items)

@@ -1,15 +1,75 @@
-"""Reference walks that the tests compare the package against.
+"""Reference walks that the tests compare the package against, and the
+exact helpers only the tests use.
 
-Each is slow and simple, and none uses first_hit or its bases: linear
+Each walk is slow and simple, and none uses first_hit or its bases: linear
 scans, the Euclid solver that first_hit replaced, and the greedy ladder of
-Fibonacci steps that find_two_scale walked before it.
+Fibonacci steps that find_two_scale walked before it. The helpers are the
+fractional part, the distance to the nearest integer, the whole unit
+interval, and verify_witness, the tests' shared check of one witness.
 """
 
 import math
+from fractions import Fraction
 
-from fibnest.exact import UnitInterval
+from fibnest.exact import Rat, RatLike, UnitInterval, rat_str
 from fibnest.fib import fib
-from fibnest.lattice import rotate, steps
+from fibnest.lattice import rotate, steps, witness_point
+from fibnest.report import BoundReport, ReportBundle, bound_report
+
+
+def frac(q: RatLike) -> Rat:
+    """Fractional part q - floor(q), always in [0, 1)."""
+    q = Fraction(q)
+    return q - (q.numerator // q.denominator)
+
+
+def dist_int(q: RatLike) -> Rat:
+    """Distance from q to the nearest integer, in [0, 1/2]."""
+    f = frac(q)
+    return min(f, 1 - f)
+
+
+FULL_INTERVAL = UnitInterval(Fraction(0), Fraction(1))
+
+
+def membership_report(
+    name: str, point: Rat, interval: UnitInterval, *, notes: str = ""
+) -> BoundReport:
+    """point in [lo, hi] encoded as slack = min(point - lo, hi - point)."""
+    slack = min(point - interval.lo, interval.hi - point)
+    return BoundReport(
+        name=name,
+        lhs=point,
+        rhs=interval.lo,
+        slack=slack,
+        passed=(slack >= 0),
+        notes=notes or f"target [{rat_str(interval.lo)}, {rat_str(interval.hi)}]",
+    )
+
+
+def verify_witness(n: int, a: int, I: UnitInterval, J: UnitInterval) -> ReportBundle:
+    """Derive both coordinates from (n, a) and check every condition."""
+    fn = fib(n)
+    alpha, beta = witness_point(n, a)
+    items = (
+        bound_report(
+            "a-range",
+            Fraction(min(a - 1, fn - 1 - a)),
+            Fraction(0),
+            witness=a,
+            notes=f"1 <= a < F_{n} = {fn}",
+        ),
+        bound_report(
+            "coprime",
+            Fraction(1),
+            Fraction(math.gcd(a, fn)),
+            witness=a,
+            notes=f"gcd(a, F_{n})",
+        ),
+        membership_report("alpha-in-I", alpha, I),
+        membership_report("beta-in-J", beta, J),
+    )
+    return ReportBundle(name=f"witness[n={n}, a={a}]", items=items)
 
 
 def linear_find_brute(n: int, I: UnitInterval, J: UnitInterval):

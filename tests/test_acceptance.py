@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import linear_find_brute
+from oracles import linear_find_brute, verify_witness
 
 from fibnest.bounds import (
     check_nonconvergent_gap,
@@ -26,7 +26,6 @@ from fibnest.search import (
     TwoScaleExhausted,
     find_brute,
     find_two_scale,
-    verify_witness,
 )
 from fibnest.surd import GOLDEN_INV_SQ, Quad
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import dist_int
 
 from fibnest import bounds, lattice
 from fibnest.bounds import (
@@ -25,7 +26,7 @@ from fibnest.bounds import (
     star_discrepancy,
     star_discrepancy_of_points,
 )
-from fibnest.exact import UnitInterval, dist_int, rat_str
+from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.nest import Certificate, Stage, Verified, build, seed_stage, verify
 from fibnest.report import bound_report

@@ -8,7 +8,7 @@ import pytest
 
 import fibnest
 from fibnest.cli import main
-from fibnest.nest import certificate_to_json
+from fibnest.nest import MAX_DIGITS, certificate_to_json
 
 
 def run(capsys, *argv):
@@ -75,14 +75,12 @@ def test_construct_unreachable_depth_is_usage_error(capsys):
     assert stderr == "error: no witness for stage 5; last index tried n=976\n"
 
 
-def test_construct_brute_is_exhaustive(tmp_path, capsys):
-    out = tmp_path / "brute.json"
-    code, stdout, _ = run(capsys, "construct", "--depth", "3", "--strategy", "brute", "--out", str(out))
-    assert code == 0
-    assert "FAIL" not in stdout
-    payload = json.loads(out.read_text())
-    assert payload["policy"] == "brute"
-    assert [st["n"] for st in payload["stages"][1:]] == [5, 19, 77]
+def test_construct_strategy_is_usage_error(capsys):
+    # auto is the only policy construct builds
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--depth", "3", "--strategy", "brute"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --strategy brute" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify-cert", "littlewood"])
@@ -225,9 +223,9 @@ def test_commands_render_past_int_text_limit(capsys, argv):
     assert _int_text_limit() == limit
 
 
-@pytest.mark.skipif(not _int_text_limit(), reason="no int<->str limit in force")
 def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
-    # parsing keeps the interpreter's limit as its guard
+    # the parser bounds every integer by nest.MAX_DIGITS, whatever the
+    # interpreter's limit
     payload = json.loads(certificate_to_json(cert1))
     payload["stages"][1]["alpha"] = "1" * 5000 + "/3"
     path = tmp_path / "big.json"
@@ -241,17 +239,16 @@ def test_oversized_rational_is_usage_error(tmp_path, capsys, cert1):
         assert stdout == ""
         assert stderr == (
             f"error: stages[1].alpha numerator has 5000 digits, over the "
-            f"{_int_text_limit()}-digit limit on certificate integers\n"
+            f"{MAX_DIGITS}-digit limit on certificate integers\n"
         )
 
 
-@pytest.mark.skipif(not _int_text_limit(), reason="no int<->str limit in force")
 @pytest.mark.parametrize("field", ["a", "n"])
 def test_oversized_integer_is_usage_error(tmp_path, capsys, field):
     # the error names the field and the limit, not the interpreter's advice
     # to lift it, which a certificate reader cannot act on
     payload = json.loads((FIXTURES / "pow2-5.json").read_text())
-    limit = f"over the {_int_text_limit()}-digit limit on certificate integers"
+    limit = f"over the {MAX_DIGITS}-digit limit on certificate integers"
     if field == "a":
         payload["stages"][2]["a"] = "1" * 5001
         text, expect = json.dumps(payload), f"stages[2].a has 5001 digits, {limit}"

@@ -2,16 +2,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import FULL_INTERVAL, dist_int, frac
 
-from fibnest.exact import (
-    DECIMAL_DIGITS,
-    FULL_INTERVAL,
-    UnitInterval,
-    dist_int,
-    frac,
-    rat_decimal,
-    rat_str,
-)
+from fibnest.exact import DECIMAL_DIGITS, UnitInterval, rat_decimal, rat_str
 
 rationals = st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
 

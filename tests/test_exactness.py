@@ -8,6 +8,9 @@ notes).
 
 Trust: a certified bound takes a nest.Verified, and only nest.verify makes
 one, after verify_certificate passes.
+
+Callers: every top-level name in src/fibnest is used by src/fibnest, so
+what only the tests use lives in tests/oracles.py.
 """
 
 import ast
@@ -95,3 +98,54 @@ def test_all_exports_resolve():
     assert len(set(fibnest.__all__)) == len(fibnest.__all__)
     missing = [name for name in fibnest.__all__ if not hasattr(fibnest, name)]
     assert missing == []
+
+
+# names no src module loads, each with its reason
+UNLOADED = {
+    # held by perfbench/spans.py, which looks them up until ROADMAP item 5
+    ("search.py", "RangeTooLarge"),
+    ("bounds.py", "star_discrepancy_of_points"),
+}
+
+
+def _top_level_names(tree: ast.Module):
+    """The functions, classes and constants a module defines at top level,
+    dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_every_src_name_has_a_src_caller():
+    # a name that only the tests use belongs in tests/oracles.py; a Load is
+    # a use of the name, or of module.name, outside __init__.py's re-exports
+    modules = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    module_names = {name.removesuffix(".py") for name in modules}
+    loaded = set()
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in module_names
+            ):
+                loaded.add(node.attr)
+    unloaded = {
+        (name, defined)
+        for name, tree in modules.items()
+        for defined in _top_level_names(tree)
+        if defined not in loaded
+    }
+    assert unloaded == UNLOADED

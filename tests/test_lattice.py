@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import euclid_first_hit
+from oracles import FULL_INTERVAL, euclid_first_hit
 
 from fibnest import lattice
-from fibnest.exact import FULL_INTERVAL, UnitInterval
+from fibnest.exact import UnitInterval
 from fibnest.fib import fib
 from fibnest.lattice import Box, basis, cassini_inverse, cover_span, first_hit, near, rotate, steps
 

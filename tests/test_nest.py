@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import re
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +16,8 @@ from fibnest.cli import _int_text_unlimited
 from fibnest.exact import UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.nest import (
+    MAX_DIGITS,
+    POLICIES,
     SCHEDULES,
     Certificate,
     DepthUnreachable,
@@ -30,7 +31,6 @@ from fibnest.nest import (
     verify_certificate,
 )
 from fibnest.report import BoundReport, ReportBundle, bundle_to_text, flatten, to_csv, to_json
-from fibnest.search import STRATEGIES
 
 
 def test_seed_stage_shape():
@@ -125,9 +125,11 @@ def test_build_depth_four_auto_bytes_frozen(schedule, n0, digest):
     assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
 
 
-# (strategy, schedule, SHA-256) at n0 = 5: the bytes of the strategies the
-# benchmark never builds. two_scale takes n = 7, 32, 131, 526 (pow2) and
+# (policy, schedule, SHA-256) of the depth-4 certificates, n0 = 5, that
+# each witness search alone once built, kept as tests/data/{policy}-
+# {schedule}-5.json. two_scale took n = 7, 32, 131, 526 (pow2) and
 # 7, 32, 131, 525 (inv); brute 5, 19, 77, 313 and 5, 19, 77, 311.
+DATA_DIR = Path(__file__).resolve().parent / "data"
 FROZEN_DEPTH_FOUR_STRATEGIES = [
     ("two_scale", "pow2", "a1822eff6fe360233fb4b77a15f834bad015bca2eb4c6a106a8967ef5ce11aea"),
     ("two_scale", "inv", "a85264ddd05011dff4a6e52c84eaf7f34b8825f392bf1c27b78eff16f063633d"),
@@ -136,31 +138,40 @@ FROZEN_DEPTH_FOUR_STRATEGIES = [
 ]
 
 
+def depth_four(policy: str, schedule: str) -> Certificate:
+    """The depth-4 certificate at n0 = 5 of a policy: built for auto, read
+    from tests/data for the others."""
+    if policy == "auto":
+        return build(depth=4, schedule=schedule, n0=5)
+    return certificate_from_json((DATA_DIR / f"{policy}-{schedule}-5.json").read_text())
+
+
 @pytest.mark.parametrize("strategy, schedule, digest", FROZEN_DEPTH_FOUR_STRATEGIES)
 def test_build_depth_four_strategy_bytes_frozen(strategy, schedule, digest):
-    cert = build(depth=4, n0=5, schedule=schedule, strategy=strategy)
-    assert hashlib.sha256(certificate_to_json(cert).encode()).hexdigest() == digest
+    # each file still parses, verifies and re-serialises to its own bytes
+    text = (DATA_DIR / f"{strategy}-{schedule}-5.json").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    cert = certificate_from_json(text)
+    assert cert.policy == strategy
+    assert verify_certificate(cert).passed
+    assert certificate_to_json(cert) == text
 
 
 def test_build_depth_four_exhaustive_brute():
-    # the exhaustive search finds stage 3 at n = 77, below the two_scale
+    # the exhaustive search found stage 3 at n = 77, below the two_scale
     # fallback's n = 82 that auto takes past its crossover
-    cert = build(depth=4, n0=5, strategy="brute")
+    cert = depth_four("brute", "pow2")
     assert [s.n for s in cert.stages] == [1, 5, 19, 77, 313]
-    assert cert.policy == "brute"
-    assert verify_certificate(cert).passed
+    assert [s.n for s in depth_four("auto", "pow2").stages] == [1, 5, 19, 82, 335]
 
 
-@pytest.mark.parametrize(
-    "strategy, indices",
-    [("brute", [5, 19, 77, 313, 1259]), ("auto", [5, 19, 82, 335, 1352])],
-)
-def test_build_depth_five_with_a_larger_index_budget(monkeypatch, strategy, indices):
+def test_build_depth_five_with_a_larger_index_budget(monkeypatch):
     # 300 indices past the first stop short of depth 5; stage 5 lands near
     # four times stage 4's index, where the target's area first holds a point
     monkeypatch.setattr(nest, "MAX_INDEX_STEPS", 3000)
-    cert = build(depth=5, schedule="pow2", n0=5, strategy=strategy)
-    assert [s.n for s in cert.stages[1:]] == indices
+    cert = build(depth=5, schedule="pow2", n0=5)
+    assert [s.n for s in cert.stages[1:]] == [5, 19, 82, 335, 1352]
+    assert cert.policy == "auto"
     assert verify_certificate(cert).passed
 
 
@@ -179,8 +190,6 @@ def test_build_validation():
         build(depth=-1)
     with pytest.raises(ValueError):
         build(depth=1, n0=3)
-    with pytest.raises(ValueError, match="magic"):
-        build(depth=0, strategy="magic")
 
 
 def test_build_depth_unreachable(monkeypatch):
@@ -410,10 +419,10 @@ def test_fixture_stages_are_their_boxes(name):
     assert all(st == nest._stage(nu, st.box) for nu, st in enumerate(cert.stages))
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("strategy", POLICIES)
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
 def test_built_stages_are_their_boxes(schedule, strategy):
-    cert = build(depth=4, schedule=schedule, n0=5, strategy=strategy)
+    cert = depth_four(strategy, schedule)
     assert all(st == nest._stage(nu, st.box) for nu, st in enumerate(cert.stages))
 
 
@@ -519,8 +528,8 @@ _FRACTION_RAT = re.compile(r"-?[0-9]+/[1-9][0-9]*")
 def fraction_rational(value, name):
     """The rational parser as a regex, int round trips, a Fraction(str)
     parse and a rat_str round trip, with the interpreter's digit limit
-    lifted and then applied by length to each part of a value with no
-    leading zero, kept as the oracle of nest._rational."""
+    lifted and MAX_DIGITS applied by length to each part of a value with
+    no leading zero, kept as the oracle of nest._rational."""
     refused = ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
     if not (isinstance(value, str) and _FRACTION_RAT.fullmatch(value)):
         raise refused
@@ -528,11 +537,10 @@ def fraction_rational(value, name):
     with _int_text_unlimited():
         plain = f"{int(p)}/{int(q)}" == value
         reduced = rat_str(Fraction(value)) == value
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     for part, digits in (("numerator", p.lstrip("-")), ("denominator", q)):
-        if plain and limit and len(digits) > limit:
+        if plain and len(digits) > MAX_DIGITS:
             raise ValueError(
-                f"{name} {part} has {len(digits)} digits, over the {limit}-digit limit on certificate integers"
+                f"{name} {part} has {len(digits)} digits, over the {MAX_DIGITS}-digit limit on certificate integers"
             )
     if not reduced:
         raise refused

@@ -3,6 +3,8 @@ import io
 import json
 from fractions import Fraction
 
+from oracles import membership_report
+
 from fibnest.exact import UnitInterval
 from fibnest.report import (
     CSV_COLUMNS,
@@ -12,7 +14,6 @@ from fibnest.report import (
     bundle_to_text,
     equality_report,
     flatten,
-    membership_report,
     report_to_dict,
     report_to_text,
     to_csv,

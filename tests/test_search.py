@@ -6,9 +6,17 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import first_multiple_in_window, greedy_first_hit, linear_find_brute, linear_first_step
+from oracles import (
+    FULL_INTERVAL,
+    first_multiple_in_window,
+    frac,
+    greedy_first_hit,
+    linear_find_brute,
+    linear_first_step,
+    verify_witness,
+)
 
-from fibnest.exact import FULL_INTERVAL, UnitInterval, frac
+from fibnest.exact import UnitInterval
 from fibnest.fib import fib
 from fibnest.lattice import first_hit, integer_range, rotate, witness_point
 from fibnest.search import (
@@ -18,7 +26,6 @@ from fibnest.search import (
     find_two_scale,
     find_witness,
     select_kstar,
-    verify_witness,
 )
 
 
@@ -57,15 +64,6 @@ def test_select_kstar_stays_near_half():
 def test_select_kstar_rejects_small():
     with pytest.raises(ValueError):
         select_kstar(3)
-
-
-# ---- strategy names ----
-
-
-def test_config_validation():
-    # the strategy name is the whole search configuration
-    with pytest.raises(ValueError, match="magic"):
-        find_witness(6, FULL_INTERVAL, FULL_INTERVAL, "magic")
 
 
 # ---- find_brute ----
@@ -362,7 +360,7 @@ def test_residue_step_identity(n):
 # ---- find_witness dispatch ----
 
 
-# on these windows the two strategies return different witnesses at every
+# on these windows the two searches return different witnesses at every
 # index below, so each dispatch shows which route answered
 SPLIT_I = UnitInterval(Fraction(1, 4), Fraction(1))
 SPLIT_J = UnitInterval(Fraction(0), Fraction(3, 4))
@@ -387,12 +385,13 @@ def test_auto_switches_beyond_cap():
 
 
 def test_forced_strategies():
-    assert find_witness(6, SPLIT_I, SPLIT_J, "two_scale") == find_two_scale(6, SPLIT_I, SPLIT_J) == 7
-    # brute is exhaustive at any index, far past auto's crossover
+    # each search called by name: brute is exhaustive at any index, far
+    # past find_witness's crossover, where find_witness takes the two-scale
+    # route
+    assert find_two_scale(6, SPLIT_I, SPLIT_J) == 7
     for n in (6, 40):
-        brute = find_brute(n, SPLIT_I, SPLIT_J)
-        assert brute != find_two_scale(n, SPLIT_I, SPLIT_J)
-        assert find_witness(n, SPLIT_I, SPLIT_J, "brute") == brute
+        assert find_brute(n, SPLIT_I, SPLIT_J) != find_two_scale(n, SPLIT_I, SPLIT_J)
+    assert find_witness(40, SPLIT_I, SPLIT_J) == find_two_scale(40, SPLIT_I, SPLIT_J)
 
 
 # ---- verify_witness ----
