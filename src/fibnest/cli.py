@@ -127,6 +127,13 @@ def _render(obj: Union[BoundReport, ReportBundle], fmt: str) -> str:
     return report_to_text(obj) + "\n"
 
 
+def _report(obj: Union[BoundReport, ReportBundle], args, head: str = "") -> int:
+    """Write head and obj, rendered as --format asks, to --out or stdout;
+    exit 0 if every check of obj passed, 1 if not."""
+    _emit(head + _render(obj, args.format), args.out)
+    return 0 if obj.passed else 1
+
+
 def _cmd_construct(args) -> int:
     cert = nest.build(depth=args.depth, schedule=args.delta, n0=args.n0)
     verification = nest.verify_certificate(cert)
@@ -165,24 +172,19 @@ def _int_text_unlimited():
 
 def _cmd_verify_cert(args) -> int:
     cert = nest.certificate_from_json(args.infile.read_text(encoding="utf-8"))
-    verification = nest.verify_certificate(cert)
-    _emit(_render(verification, args.format), args.out)
-    return 0 if verification.passed else 1
+    return _report(nest.verify_certificate(cert), args)
 
 
 def _cmd_min_scan(args) -> int:
     report, rec = bounds.check_min_product_bound(args.n, args.a)
+    head = ""
     if args.format == "text":
-        lines = [
+        head = (
             f"n={rec.n} a={rec.a} x_min={rec.x_min} "
             f"value={rat_str(rec.value)} scaled={rat_str(rec.scaled)} "
-            f"scaled_decimal={rat_decimal(rec.scaled, 12)}",
-            report_to_text(report),
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_render(report, args.format), args.out)
-    return 0 if report.passed else 1
+            f"scaled_decimal={rat_decimal(rec.scaled, 12)}\n"
+        )
+    return _report(report, args, head)
 
 
 def _cmd_limit_table(args) -> int:
@@ -192,15 +194,11 @@ def _cmd_limit_table(args) -> int:
 
 
 def _cmd_q1(args) -> int:
-    report = bounds.check_nonconvergent_gap(args.n, args.x_max)
-    _emit(_render(report, args.format), args.out)
-    return 0 if report.passed else 1
+    return _report(bounds.check_nonconvergent_gap(args.n, args.x_max), args)
 
 
 def _cmd_q2(args) -> int:
-    bundle = bounds.convergent_gap(args.n, args.k)
-    _emit(_render(bundle, args.format), args.out)
-    return 0 if bundle.passed else 1
+    return _report(bounds.convergent_gap(args.n, args.k), args)
 
 
 def _cmd_littlewood(args) -> int:
@@ -208,17 +206,12 @@ def _cmd_littlewood(args) -> int:
     # a bound is certified only from a certificate that passes verification
     verification, verified = nest.verify(cert)
     if verified is None:
-        _emit(_render(verification, args.format), args.out)
-        return 1
-    result = bounds.littlewood_lower_bound(verified, args.level, args.proxy)
-    _emit(_render(result.report, args.format), args.out)
-    return 0 if result.report.passed else 1
+        return _report(verification, args)
+    return _report(bounds.littlewood_lower_bound(verified, args.level, args.proxy).report, args)
 
 
 def _cmd_discrepancy(args) -> int:
-    report = bounds.star_discrepancy(args.n, args.count, cap=args.cap)
-    _emit(_render(report, args.format), args.out)
-    return 0 if report.passed else 1
+    return _report(bounds.star_discrepancy(args.n, args.count, cap=args.cap), args)
 
 
 _COMMANDS = {

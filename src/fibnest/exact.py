@@ -10,12 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 # The universal exact scalar of the package.
 Rat = Fraction
-
-RatLike = Union[Rat, int, str]
 
 
 @dataclass(frozen=True)
@@ -45,10 +42,6 @@ class UnitInterval:
     def length(self) -> Rat:
         return self.hi - self.lo
 
-    def __contains__(self, q: RatLike) -> bool:
-        q = Fraction(q)
-        return self.lo <= q <= self.hi
-
 
 # ---- rendering ----
 
@@ -60,17 +53,22 @@ def rat_str(q: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def fixed_decimal(t: int, half: int, digits: int) -> str:
+    """(t + f)/10**digits to `digits` places, rounded half to even, for an
+    integer t and a dropped fraction 0 <= f < 1 that compares with 1/2 as
+    half compares with 0."""
+    if half > 0 or (half == 0 and t % 2 != 0):
+        t += 1
+    sign = "-" if t < 0 else ""
+    whole, digits_part = divmod(abs(t), 10**digits)
+    return f"{sign}{whole}.{digits_part:0{digits}d}"
+
+
 def rat_decimal(q: Rat, digits: int = DECIMAL_DIGITS) -> str:
     """Fixed-point decimal rendering with round-half-even, done on
     integers so the result is exact for every Fraction."""
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
-    scale = 10**digits
-    num, den = q.numerator * scale, q.denominator
-    t = num // den
-    rem2 = 2 * (num - t * den)
-    if rem2 > den or (rem2 == den and t % 2 != 0):
-        t += 1
-    sign = "-" if t < 0 else ""
-    whole, digits_part = divmod(abs(t), scale)
-    return f"{sign}{whole}.{digits_part:0{digits}d}"
+    den = q.denominator
+    t, rem = divmod(q.numerator * 10**digits, den)
+    return fixed_decimal(t, 2 * rem - den, digits)

@@ -344,35 +344,35 @@ def _check_keys(obj, keys: tuple[str, ...], field: str) -> None:
 _RAT = re.compile(r"(0|-?[1-9][0-9]*)/([1-9][0-9]*)")
 
 
-def _integer(text: str, name: str) -> int:
+def _echo(value) -> str:
+    """repr(value) for an error message, cut after 80 characters with its
+    length stated, so no input can make a message long."""
+    text = repr(value)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
+def _integer(text: str, name: str = "") -> int:
     """int() of a decimal string of at most MAX_DIGITS digits, the parser's
-    guard against oversized input; the error names the field and the limit.
-    The plain length settles every short string without counting digits."""
+    guard against oversized input, for a named string field or, with no
+    name, as json.loads's parse_int for every JSON number. The plain length
+    settles every short string without counting digits."""
     if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
-        raise ValueError(
-            f"{name} has {len(text.lstrip('-'))} digits, over the {MAX_DIGITS}-digit limit on certificate integers"
-        )
-    return int(text)
-
-
-def _json_integer(text: str) -> int:
-    """json.loads's parse_int: a JSON number's digits, bounded like _integer."""
-    if len(text) > MAX_DIGITS and len(text.lstrip("-")) > MAX_DIGITS:
-        raise ValueError(
-            f"certificate: a JSON integer is over the {MAX_DIGITS}-digit limit on certificate integers"
-        )
+        what = f"{name} has {len(text.lstrip('-'))} digits," if name else "certificate: a JSON integer is"
+        raise ValueError(f"{what} over the {MAX_DIGITS}-digit limit on certificate integers")
     return int(text)
 
 
 def _rational(value, name: str) -> Rat:
     """Parse the reduced 'p/q' string rat_str writes: no sign on zero, no
-    leading zeros, gcd(p, q) = 1. Each string is matched and converted once."""
+    leading zeros, gcd(p, q) = 1. Each string is matched and converted once;
+    Fraction's own gcd keeps q as the denominator exactly when p/q is reduced."""
     match = _RAT.fullmatch(value) if isinstance(value, str) else None
     if match:
         p, q = _integer(match[1], f"{name} numerator"), _integer(match[2], f"{name} denominator")
-        if math.gcd(p, q) == 1:
-            return Fraction(p, q)
-    raise ValueError(f"{name} must be a reduced 'p/q' string, got {value!r}")
+        rat = Fraction(p, q)
+        if rat.denominator == q:
+            return rat
+    raise ValueError(f"{name} must be a reduced 'p/q' string, got {_echo(value)}")
 
 
 def _stage_from_dict(d: dict, field: str) -> Stage:
@@ -383,13 +383,13 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
 
     def integer(key: str) -> int:
         if type(d[key]) is not int:
-            raise ValueError(f"{field}.{key} must be a JSON integer, got {d[key]!r}")
+            raise ValueError(f"{field}.{key} must be a JSON integer, got {_echo(d[key])}")
         return d[key]
 
     def window(key: str) -> UnitInterval:
         ends = d[key]
         if not (isinstance(ends, list) and len(ends) == 2):
-            raise ValueError(f"{field}.{key} must be a list of two 'p/q' strings, got {ends!r}")
+            raise ValueError(f"{field}.{key} must be a list of two 'p/q' strings, got {_echo(ends)}")
         lo, hi = (_rational(end, f"{field}.{key}[{i}]") for i, end in enumerate(ends))
         try:
             return UnitInterval(lo, hi)
@@ -397,10 +397,10 @@ def _stage_from_dict(d: dict, field: str) -> Stage:
             raise ValueError(f"{field}.{key} must satisfy 0 <= lo <= hi <= 1") from None
 
     if not (isinstance(d["a"], str) and re.fullmatch("0|[1-9][0-9]*", d["a"])):
-        raise ValueError(f"{field}.a must be a decimal string with no leading zero, got {d['a']!r}")
+        raise ValueError(f"{field}.a must be a decimal string with no leading zero, got {_echo(d['a'])}")
     nu, n = integer("nu"), integer("n")
     if n < 1:
-        raise ValueError(f"{field}.n must be >= 1, got {n}")
+        raise ValueError(f"{field}.n must be >= 1, got {_echo(n)}")
     return Stage(
         nu=nu,
         n=n,
@@ -429,14 +429,14 @@ def certificate_from_json(text: str) -> Certificate:
     Whether the values form a valid certificate is left to
     verify_certificate."""
     try:
-        payload = json.loads(text, parse_int=_json_integer)
+        payload = json.loads(text, parse_int=_integer)
     except RecursionError:
         raise ValueError("certificate: JSON nested too deeply") from None
     _check_keys(payload, ("schedule", "policy", "stages"), "certificate")
     if not isinstance(payload["schedule"], str) or payload["schedule"] not in SCHEDULES:
-        raise ValueError(f"schedule: unknown delta schedule {payload['schedule']!r}")
+        raise ValueError(f"schedule: unknown delta schedule {_echo(payload['schedule'])}")
     if payload["policy"] not in POLICIES:
-        raise ValueError(f"policy: unknown strategy {payload['policy']!r}")
+        raise ValueError(f"policy: unknown strategy {_echo(payload['policy'])}")
     if not isinstance(payload["stages"], list) or not payload["stages"]:
         raise ValueError("stages must be a non-empty list")
     stages = []
@@ -444,7 +444,7 @@ def certificate_from_json(text: str) -> Certificate:
         _check_keys(d, _STAGE_KEYS, f"stages[{nu}]")
         stage = _stage_from_dict(d, f"stages[{nu}]")
         if stage.nu != nu:
-            raise ValueError(f"stages[{nu}].nu is {stage.nu}, expected {nu}")
+            raise ValueError(f"stages[{nu}].nu is {_echo(stage.nu)}, expected {nu}")
         stages.append(stage)
     if stages[0] != seed_stage():
         raise ValueError("stages[0] is not the seed stage")

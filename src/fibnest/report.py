@@ -21,35 +21,25 @@ from .surd import Quad
 Side = Union[Rat, Quad]
 Witness = Union[int, tuple[int, ...], None]
 
-
-def _side_sub(lhs: Rat, rhs: Side) -> Side:
-    if isinstance(rhs, Quad):
-        return Quad.of(lhs) - rhs
-    return lhs - rhs
-
-
-def _side_nonneg(x: Side) -> bool:
-    if isinstance(x, Quad):
-        return x.sign() >= 0
-    return x.numerator >= 0  # a Fraction's denominator is positive
-
-
-def _side_pos(x: Side) -> bool:
-    if isinstance(x, Quad):
-        return x.sign() > 0
-    return x.numerator > 0
-
-
 _ZERO = Fraction(0)
 
 
-def _is_zero(x: Side) -> bool:
-    return type(x) is Fraction and x.numerator == 0
+def _slack(lhs: Rat, rhs: Side) -> Side:
+    """lhs - rhs, with no subtraction for a zero rational rhs."""
+    if isinstance(rhs, Quad):
+        return Quad.of(lhs) - rhs
+    return lhs - rhs if rhs else lhs
+
+
+def _sign(x: Side) -> int:
+    if isinstance(x, Quad):
+        return x.sign()
+    return (x.numerator > 0) - (x.numerator < 0)  # a Fraction's denominator is positive
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One checked inequality lhs >= rhs (or > rhs when strict)."""
+    """One checked inequality lhs >= rhs, or lhs > rhs for a strict bound_report."""
 
     name: str
     lhs: Rat
@@ -59,7 +49,6 @@ class BoundReport:
     witness: Witness = None
     notes: str = ""
     rhs_label: Optional[str] = None
-    strict: bool = False
 
 
 def bound_report(
@@ -72,25 +61,24 @@ def bound_report(
     rhs_label: Optional[str] = None,
     strict: bool = False,
 ) -> BoundReport:
-    slack = lhs if _is_zero(rhs) else _side_sub(lhs, rhs)
-    passed = _side_pos(slack) if strict else _side_nonneg(slack)
+    slack = _slack(lhs, rhs)
+    sign = _sign(slack)
     return BoundReport(
         name=name,
         lhs=lhs,
         rhs=rhs,
         slack=slack,
-        passed=passed,
+        passed=sign > 0 if strict else sign >= 0,
         witness=witness,
         notes=notes,
         rhs_label=rhs_label,
-        strict=strict,
     )
 
 
 def equality_report(name: str, lhs: Rat, rhs: Rat, *, notes: str = "") -> BoundReport:
     """Equality encoded as slack = -|lhs - rhs|, so pass <=> lhs == rhs."""
     passed = lhs == rhs
-    slack = _ZERO if passed else -abs(lhs if _is_zero(rhs) else lhs - rhs)
+    slack = _ZERO if passed else -abs(_slack(lhs, rhs))
     return BoundReport(
         name=name,
         lhs=lhs,
@@ -116,29 +104,30 @@ class ReportBundle:
 # ---- rendering ----
 
 
-def _witness_json(w: Witness):
-    if w is None:
-        return None
-    if isinstance(w, tuple):
-        return list(w)
-    return w
+def _side_text(x: Side, label: Optional[str] = None) -> str:
+    if isinstance(x, Quad):
+        return label or str(x)
+    return rat_str(x)
+
+
+def _slack_value(x: Side) -> str:
+    """The slack as JSON and CSV hold it: p/q, or the decimal of a Quad."""
+    if isinstance(x, Quad):
+        return x.decimal(DECIMAL_DIGITS)
+    return rat_str(x)
 
 
 def report_to_dict(rep: BoundReport) -> dict:
-    out: dict = {"name": rep.name, "lhs": rat_str(rep.lhs)}
-    if isinstance(rep.rhs, Quad):
-        out["rhs_surd"] = rep.rhs_label or str(rep.rhs)
-    else:
-        out["rhs"] = rat_str(rep.rhs)
-    if isinstance(rep.slack, Quad):
-        out["slack_decimal"] = rep.slack.decimal(DECIMAL_DIGITS)
-    else:
-        out["slack"] = rat_str(rep.slack)
-    out["pass"] = rep.passed
-    out["witness"] = _witness_json(rep.witness)
-    out["decimal"] = rat_decimal(rep.lhs, DECIMAL_DIGITS)
-    out["notes"] = rep.notes
-    return out
+    return {
+        "name": rep.name,
+        "lhs": rat_str(rep.lhs),
+        "rhs_surd" if isinstance(rep.rhs, Quad) else "rhs": _side_text(rep.rhs, rep.rhs_label),
+        "slack_decimal" if isinstance(rep.slack, Quad) else "slack": _slack_value(rep.slack),
+        "pass": rep.passed,
+        "witness": list(rep.witness) if isinstance(rep.witness, tuple) else rep.witness,
+        "decimal": rat_decimal(rep.lhs, DECIMAL_DIGITS),
+        "notes": rep.notes,
+    }
 
 
 def bundle_to_dict(bundle: ReportBundle) -> dict:
@@ -149,35 +138,25 @@ def bundle_to_dict(bundle: ReportBundle) -> dict:
     }
 
 
-def to_json(obj: Union[BoundReport, ReportBundle, dict]) -> str:
-    if isinstance(obj, BoundReport):
-        obj = report_to_dict(obj)
-    elif isinstance(obj, ReportBundle):
-        obj = bundle_to_dict(obj)
-    return json.dumps(obj, indent=2) + "\n"
+def to_json(obj: Union[BoundReport, ReportBundle]) -> str:
+    d = report_to_dict(obj) if isinstance(obj, BoundReport) else bundle_to_dict(obj)
+    return json.dumps(d, indent=2) + "\n"
 
 
 CSV_COLUMNS = ["name", "lhs", "rhs", "slack", "pass", "witness", "decimal", "notes"]
 
 
-def _report_csv_row(rep: BoundReport) -> list[str]:
-    d = report_to_dict(rep)
-    witness = d["witness"]
-    if witness is None:
-        wtext = ""
-    elif isinstance(witness, list):
-        wtext = ";".join(str(v) for v in witness)
-    else:
-        wtext = str(witness)
+def _report_csv_row(rep: BoundReport) -> list:
+    witness = rep.witness
     return [
-        d["name"],
-        d["lhs"],
-        d.get("rhs", d.get("rhs_surd", "")),
-        d.get("slack", d.get("slack_decimal", "")),
-        "true" if d["pass"] else "false",
-        wtext,
-        d["decimal"],
-        d["notes"],
+        rep.name,
+        rat_str(rep.lhs),
+        _side_text(rep.rhs, rep.rhs_label),
+        _slack_value(rep.slack),
+        "true" if rep.passed else "false",
+        ";".join(map(str, witness)) if isinstance(witness, tuple) else witness,  # None writes ""
+        rat_decimal(rep.lhs, DECIMAL_DIGITS),
+        rep.notes,
     ]
 
 
@@ -188,12 +167,6 @@ def to_csv(reports: Sequence[BoundReport]) -> str:
     for rep in reports:
         writer.writerow(_report_csv_row(rep))
     return buf.getvalue()
-
-
-def _side_text(x: Side, label: Optional[str] = None) -> str:
-    if isinstance(x, Quad):
-        return label or str(x)
-    return rat_str(x)
 
 
 def report_to_text(rep: BoundReport) -> str:

@@ -43,7 +43,7 @@ def select_kstar(n: int) -> int:
     t = 0 if n % 2 == 0 else 1
     while t <= n:
         for k in ((n + t) // 2, (n - t) // 2):
-            if 2 <= k < n and math.gcd(k, n) == 1 and abs(2 * k - n) == t:
+            if 2 <= k < n and math.gcd(k, n) == 1:
                 return k
         t += 2
     raise RuntimeError(f"no admissible k for n={n}")  # unreachable for n >= 4

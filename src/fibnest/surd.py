@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .exact import DECIMAL_DIGITS, Rat, rat_decimal
+from .exact import DECIMAL_DIGITS, Rat, fixed_decimal, rat_decimal
 
 QuadLike = Union["Quad", Rat, int]
 
@@ -79,12 +79,9 @@ class Quad:
             return rat_decimal(self.a, digits)
         scale = 10**digits
         t = self._floor_scaled(scale)
-        t2 = self._floor_scaled(2 * scale)
-        if t2 - 2 * t >= 1:  # fractional part > 1/2; exact ties are impossible
-            t += 1
-        sign = "-" if t < 0 else ""
-        whole, digits_part = divmod(abs(t), scale)
-        return f"{sign}{whole}.{digits_part:0{digits}d}"
+        # floor(2 value scale) exceeds 2t exactly when the dropped fraction is
+        # at least 1/2, and it is never 1/2, as sqrt5 is irrational
+        return fixed_decimal(t, 1 if self._floor_scaled(2 * scale) > 2 * t else -1, digits)
 
 
 GOLDEN_SQ = Quad(Fraction(3, 2), Fraction(1, 2))  # golden^2 = golden + 1

@@ -10,11 +10,14 @@ interval, and verify_witness, the tests' shared check of one witness.
 
 import math
 from fractions import Fraction
+from typing import Union
 
-from fibnest.exact import Rat, RatLike, UnitInterval, rat_str
+from fibnest.exact import Rat, UnitInterval, rat_str
 from fibnest.fib import fib
 from fibnest.lattice import rotate, steps, witness_point
 from fibnest.report import BoundReport, ReportBundle, bound_report
+
+RatLike = Union[Rat, int, str]
 
 
 def frac(q: RatLike) -> Rat:

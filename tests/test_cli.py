@@ -265,6 +265,27 @@ def test_oversized_integer_is_usage_error(tmp_path, capsys, field):
     assert stderr == f"error: {expect}\n"
 
 
+@pytest.mark.parametrize("field", ["n", "schedule"])
+def test_rejected_long_value_is_cut_in_the_error(tmp_path, capsys, field):
+    # the parser echoes a rejected value cut short, with its length, so
+    # neither a 4,300-digit stage index nor a 100,000-character schedule
+    # makes a long error line
+    payload = json.loads((FIXTURES / "pow2-5.json").read_text())
+    if field == "n":
+        payload["stages"][2]["n"] = -int("1" * MAX_DIGITS)
+        length = MAX_DIGITS + 1
+    else:
+        payload["schedule"] = "s" * 100_000
+        length = 100_002
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(payload))
+    code, stdout, stderr = run(capsys, "verify-cert", "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1 and stderr.endswith(f"... ({length} characters)\n")
+    assert len(stderr) < 200
+
+
 def test_min_scan_pass(capsys):
     code, stdout, _ = run(capsys, "min-scan", "--n", "7", "--a", "1")
     assert code == 0

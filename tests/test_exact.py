@@ -42,16 +42,13 @@ def test_dist_int_properties(q):
 
 def test_interval_basic():
     iv = UnitInterval(Fraction(1, 4), Fraction(3, 4))
+    assert (iv.lo, iv.hi) == (Fraction(1, 4), Fraction(3, 4))
     assert iv.length == Fraction(1, 2)
-    assert Fraction(1, 4) in iv
-    assert Fraction(3, 4) in iv
-    assert Fraction(7, 8) not in iv
 
 
 def test_interval_accepts_degenerate():
     point = UnitInterval(Fraction(1, 3), Fraction(1, 3))
     assert point.length == 0
-    assert Fraction(1, 3) in point
 
 
 def test_full_interval():

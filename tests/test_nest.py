@@ -290,7 +290,7 @@ def fraction_bound_report(name, lhs, rhs, *, witness=None, notes="", strict=Fals
     slack = lhs - rhs
     return BoundReport(
         name=name, lhs=lhs, rhs=rhs, slack=slack, passed=slack > 0 if strict else slack >= 0,
-        witness=witness, notes=notes, strict=strict,
+        witness=witness, notes=notes,
     )
 
 

@@ -1,7 +1,9 @@
 """README's examples run as written: every `fibnest` line of the CLI block
 ends in a verdict (exit 0 or 1), never a usage error, and the library
-example prints what its comment says."""
+example prints what its comment says. The claims ledger names only tests
+that exist."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -33,3 +35,20 @@ def test_cli_block_commands_run(tmp_path, monkeypatch, capsys):
 def test_library_example_runs(capsys):
     exec(_block("Library example", "python"), {})
     assert capsys.readouterr().out == "2584/6765\n"
+
+
+def _section(heading: str) -> str:
+    """The text under `## heading`, up to the next `## ` heading."""
+    match = re.search(rf"^## {heading}\n(.*?)(?=^## )", README, re.M | re.S)
+    assert match, f"no '## {heading}' section"
+    return match[1]
+
+
+def test_certified_claims_name_existing_tests():
+    tests_dir = Path(__file__).resolve().parent
+    named = re.findall(r"tests/(test_\w+\.py)::(test_\w+)", _section("What is certified"))
+    assert len(named) >= 7
+    for module, test in named:
+        tree = ast.parse((tests_dir / module).read_text(encoding="utf-8"))
+        defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert test in defined, f"tests/{module}::{test}"

@@ -88,7 +88,66 @@ def test_report_json_shape():
 
 def test_tuple_witness_renders_as_list():
     rep = bound_report("r", Fraction(2), Fraction(1, 2), witness=(3, 4))
-    assert report_to_dict(rep)["witness"] == [3, 4]
+    assert json.loads(to_json(rep))["witness"] == [3, 4]
+
+
+# ---- exact renderings: one report whose slack is a Quad, one with a tuple witness ----
+
+THRESHOLD_REPORT = bound_report(
+    "threshold", Fraction(3, 8), GOLDEN_INV_SQ, witness=2, rhs_label=THRESHOLD_LABEL, notes="why"
+)
+PAIR_REPORT = bound_report("pair", Fraction(2), Fraction(1, 2), witness=(3, 4))
+
+THRESHOLD_SLACK = "-0.00696601125010515179541316563436188227969082019424"
+THRESHOLD_DECIMAL = "0.37500000000000000000000000000000000000000000000000"
+PAIR_DECIMAL = "2.00000000000000000000000000000000000000000000000000"
+
+
+def test_threshold_report_renderings():
+    rep = THRESHOLD_REPORT
+    assert report_to_text(rep) == (
+        "FAIL  threshold  lhs=3/8  rhs=2/(3+sqrt5)  slack=-9/8 + 1/2*sqrt(5)  witness=2  (why)"
+    )
+    assert to_json(rep) == (
+        "{\n"
+        '  "name": "threshold",\n'
+        '  "lhs": "3/8",\n'
+        '  "rhs_surd": "2/(3+sqrt5)",\n'
+        f'  "slack_decimal": "{THRESHOLD_SLACK}",\n'
+        '  "pass": false,\n'
+        '  "witness": 2,\n'
+        f'  "decimal": "{THRESHOLD_DECIMAL}",\n'
+        '  "notes": "why"\n'
+        "}\n"
+    )
+    assert to_csv([rep]) == (
+        "name,lhs,rhs,slack,pass,witness,decimal,notes\n"
+        f"threshold,3/8,2/(3+sqrt5),{THRESHOLD_SLACK},false,2,{THRESHOLD_DECIMAL},why\n"
+    )
+
+
+def test_tuple_witness_report_renderings():
+    rep = PAIR_REPORT
+    assert report_to_text(rep) == "PASS  pair  lhs=2/1  rhs=1/2  slack=3/2  witness=(3, 4)"
+    assert to_json(rep) == (
+        "{\n"
+        '  "name": "pair",\n'
+        '  "lhs": "2/1",\n'
+        '  "rhs": "1/2",\n'
+        '  "slack": "3/2",\n'
+        '  "pass": true,\n'
+        '  "witness": [\n'
+        "    3,\n"
+        "    4\n"
+        "  ],\n"
+        f'  "decimal": "{PAIR_DECIMAL}",\n'
+        '  "notes": ""\n'
+        "}\n"
+    )
+    assert to_csv([rep]) == (
+        "name,lhs,rhs,slack,pass,witness,decimal,notes\n"
+        f"pair,2/1,1/2,3/2,true,3;4,{PAIR_DECIMAL},\n"
+    )
 
 
 def test_to_json_round_trip_and_trailing_newline():

@@ -44,7 +44,7 @@ def test_known_comparisons():
 
 
 def test_arithmetic_mixed_operands():
-    # a rational minus a constant, as report._side_sub forms it
+    # a rational minus a constant, as report._slack forms it
     assert Quad.of(Fraction(1, 2)) - GOLDEN_INV_SQ == Quad(-1, Fraction(1, 2))
     assert Quad.of(5) - SQRT5 == Quad(5, -1)
     # a constant minus a rational or an int
